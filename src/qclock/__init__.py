@@ -16,7 +16,6 @@ from .errors import (AmbiguousPeakError, ConfigParseError, ConvergenceError,
                      DegenerateDistributionError, DomainError,
                      NumericRangeError, QClockError, UnsupportedSchemeError,
                      ValidationError)
-from .kernels import backend_name
 from .measurement import (DensityMatrix2, DeviationRow, MeasurementResult,
                           density_matrix, deviation_report, measure, p_minus,
                           p_plus, round_half_away, semiclassical_prediction,
@@ -36,7 +35,7 @@ __all__ = [
     "CurrentSample", "DensityMatrix2", "DeviationRow", "HBAR",
     "MeasurementResult", "NEUTRON_MASS", "NEUTRON_MOMENT", "PacketWidth",
     "PhysicsConfig", "QuadratureResult", "QuadratureSpec", "SpinState",
-    "SpinVector", "backend_name", "bloch", "bracketing_hints", "chi_of_phi", "current_at_exit",
+    "SpinVector", "bloch", "bracketing_hints", "chi_of_phi", "current_at_exit",
     "current_general", "current_of_phi", "density_matrix",
     "deviation_report", "evolve", "exit_current_grid", "initial_state",
     "integrate", "integrate_full", "mean_phi", "measure",

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .distribution import (ArrivalScheme, peak_phi, pi_of_phi, variance_phi,
                            write_distribution_csv)
+from .distribution import write_text_atomic as _write_text
 from .errors import (ConfigParseError, ConvergenceError,
                      DegenerateDistributionError, DomainError, QClockError,
                      UnsupportedSchemeError, ValidationError)
@@ -98,6 +97,14 @@ def _parse_float(raw: str, key: str, line_no: int) -> float:
                                line=line_no) from None
 
 
+def _parse_int(raw: str, key: str, line_no: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigParseError(f"value for {key!r} is not an integer: {raw!r}",
+                               line=line_no) from None
+
+
 def _parse_float_list(raw: str, key: str, line_no: int) -> tuple[float, ...]:
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
     if not items:
@@ -155,9 +162,9 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         elif key == "rel_tol":
             quad_kwargs["rel_tol"] = _parse_float(value, key, line_no)
         elif key == "panel_order":
-            quad_kwargs["panel_order"] = int(_parse_float(value, key, line_no))
+            quad_kwargs["panel_order"] = _parse_int(value, key, line_no)
         elif key == "max_depth":
-            quad_kwargs["max_depth"] = int(_parse_float(value, key, line_no))
+            quad_kwargs["max_depth"] = _parse_int(value, key, line_no)
         elif key == "out":
             out_dir = Path(value)
         else:
@@ -186,45 +193,6 @@ def serialize(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QCLOCK_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"QCLOCK_THREADS must be an integer, got {raw!r}") \
-            from None
-    if n < 1:
-        raise ValidationError("QCLOCK_THREADS must be >= 1")
-    return n
-
-
-def _parallel_map(fn: Callable, items: Sequence):
-    """Map fn over independent sweep cells, capped by QCLOCK_THREADS.
-
-    Results come back in input order, so output files do not depend on the
-    degree of parallelism.
-    """
-    workers = min(_thread_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _write_text(path: Path, text: str) -> None:
-    """Write atomically: a failure never leaves a partial output file."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _sigma_tag(sigma0: float) -> str:
     return repr(sigma0).replace("-", "m").replace("+", "p").replace(".", "_")
 
@@ -241,7 +209,7 @@ def run_table(cfg: RunConfig) -> Path:
         dist = pi_of_phi(cfg.physics_for(sigma0), cfg.scheme, cfg.quad)
         return [measure(dist, theta, cfg.quad) for theta in thetas_rad]
 
-    rows = _parallel_map(cell, cfg.sigma0_ladder)
+    rows = [cell(sigma0) for sigma0 in cfg.sigma0_ladder]
 
     header = ["sigma0_cm"]
     for theta in cfg.thetas_deg:
@@ -268,7 +236,7 @@ def run_curve(cfg: RunConfig) -> list[Path]:
         dist = pi_of_phi(cfg.physics_for(sigma0), cfg.scheme, cfg.quad)
         return dist, peak_phi(dist), variance_phi(dist, cfg.quad)
 
-    results = _parallel_map(cell, cfg.sigma0_ladder)
+    results = [cell(sigma0) for sigma0 in cfg.sigma0_ladder]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for sigma0, (dist, peak, variance) in zip(cfg.sigma0_ladder, results):
@@ -296,12 +264,9 @@ def run_compare(cfg: RunConfig) -> list[Path]:
     cells = [(scheme, sigma0) for scheme in _COMPARE_SCHEMES
              for sigma0 in cfg.sigma0_ladder]
 
-    def cell(item):
-        scheme, sigma0 = item
-        return deviation_report(cfg.physics_for(sigma0), scheme, thetas_rad,
+    reports = [deviation_report(cfg.physics_for(sigma0), scheme, thetas_rad,
                                 cfg.quad)
-
-    reports = _parallel_map(cell, cells)
+               for scheme, sigma0 in cells]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for (scheme, sigma0), rows in zip(cells, reports):

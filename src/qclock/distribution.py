@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -114,7 +116,7 @@ class AngularDistribution:
 
 
 #: Flank scales (in units of the spike width) at which bracketing hints are
-#: planted around a known spike; 64 widths is already flush-to-zero teritory
+#: planted around a known spike; 64 widths is already flush-to-zero territory
 #: for a Gaussian spike at double precision.
 _BRACKET_SCALES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -266,5 +268,17 @@ def write_distribution_csv(dist: AngularDistribution, path) -> None:
     lines.append("phi_rad,density_per_rad")
     for phi, dens in zip(dist.grid, dist.density):
         lines.append(f"{phi:.17g},{dens:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write atomically: a failure never leaves a partial output file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

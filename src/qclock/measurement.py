@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distribution import TWO_PI, AngularDistribution, ArrivalScheme, pi_of_phi
+from .distribution import (TWO_PI, AngularDistribution, ArrivalScheme,
+                           pi_of_phi, write_text_atomic)
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate
 from .spin_dynamics import chi_of_phi
@@ -155,8 +156,7 @@ def write_deviation_csv(rows: Iterable[DeviationRow], path) -> None:
         lines.append(",".join(f"{v:.17g}" for v in (
             math.degrees(row.theta), row.p_plus, row.p_minus,
             row.p_plus_semiclassical, row.delta)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def round_half_away(x: float, decimals: int = 5) -> float:

@@ -1,9 +1,9 @@
 import math
-import os
 
 import pytest
 
-from qclock.cli import (EXIT_CONVERGENCE, EXIT_OK, EXIT_PARSE,
+from qclock import distribution
+from qclock.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE,
                         EXIT_VALIDATION, RunConfig, apply_preset, main,
                         parse_config, run_table, serialize)
 from qclock.distribution import ArrivalScheme
@@ -109,9 +109,14 @@ def test_validate_subcommand(capsys):
 
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense = 1\n")
-    assert main(["validate", "--config", str(bad)]) == EXIT_PARSE
-    assert "unknown key" in capsys.readouterr().err
+    for line, message in (("nonsense = 1", "unknown key"),
+                          ("panel_order = 16.5", "not an integer"),
+                          ("max_depth = inf", "not an integer"),
+                          ("max_depth = nan", "not an integer")):
+        bad.write_text(f"# integer keys take integers only\n{line}\n")
+        assert main(["validate", "--config", str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "line 2" in err and message in err
 
 
 def test_exit_code_validation_error(tmp_path, capsys):
@@ -164,21 +169,57 @@ def test_table_full_preset_i(tmp_path):
     assert rows[4].startswith("1e-08,0.99887,0.00113,0.75242,0.24758,0.50345,0.49655")
 
 
-def test_table_reproducible_across_thread_counts(tmp_path, monkeypatch):
-    outputs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("QCLOCK_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
-        assert main(["table", "--sigma0", "1e-7", "--sigma0", "1e-8",
-                     "--out", str(out)]) == EXIT_OK
-        outputs[threads] = (out / "table.csv").read_bytes()
-    assert outputs["1"] == outputs["4"]
+def test_outputs_byte_identical_across_runs(tmp_path):
+    runs = (["table", "--sigma0", "1e-7", "--sigma0", "1e-8"],
+            ["curve", "--sigma0", "1e-6"],
+            ["compare", "--sigma0", "1e-7"])
+    outputs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        for argv in runs:
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+        outputs.append({path.name: path.read_bytes()
+                        for path in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == sorted([
+        "table.csv", "curve_sigma0_1em06.csv",
+        "curve_sigma0_1em06_summary.txt",
+        "compare_modulus-total-current_sigma0_1em07.csv",
+        "compare_modulus-schrodinger-current_sigma0_1em07.csv"])
+    assert outputs[0] == outputs[1]
 
 
-def test_bad_thread_env_rejected(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QCLOCK_THREADS", "many")
-    assert main(["table", "--sigma0", "1e-5", "--out", str(tmp_path)]) == \
-        EXIT_VALIDATION
+class _FailsPartway:
+    """File stand-in that writes half its text, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[:len(text) // 2])
+        self._fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    partial = []
+
+    def open_then_fail(path, *args, **kwargs):
+        partial.append(path)
+        return _FailsPartway(open(path, *args, **kwargs))
+
+    monkeypatch.setattr(distribution, "open", open_then_fail, raising=False)
+    for command in ("curve", "compare"):
+        out = tmp_path / command
+        assert main([command, "--sigma0", "1e-6", "--out", str(out)]) == EXIT_IO
+        assert "No space left" in capsys.readouterr().err
+        assert partial[-1].parent == out  # the failure hit a file in out
+        assert list(out.iterdir()) == []
 
 
 def test_curve_outputs(tmp_path):

@@ -143,3 +143,15 @@ def test_grid_kernel_matches_scalar_path():
         scale = max(sample.modulus, 1e-300)
         assert abs(jx[i] - sample.jx_sch) <= 1e-13 * scale
         assert abs(jz[i] - sample.jz_spin) <= 1e-13 * scale
+
+
+def test_grid_kernel_flushes_far_tail_to_zero():
+    # density exponents below the -700 floor give exact zeros, not
+    # denormals; at -720 exp() alone would still be nonzero
+    t0 = SET_I.transit_time
+    st = width(SET_I, t0).sigma_t
+    t_720 = t0 - math.sqrt(2.0 * 720.0) * st / SET_I.u
+    assert math.exp(-((SET_I.d - SET_I.u * t_720) / st) ** 2 / 2.0) > 0.0
+    jx, jz = exit_current_grid(SET_I, np.array([0.0, 1e-9, t_720]))
+    assert np.all(jx == 0.0)
+    assert np.all(jz == 0.0)
