@@ -17,8 +17,8 @@ from .errors import (AmbiguousPeakError, ConfigParseError, ConvergenceError,
                      NumericRangeError, QClockError, UnsupportedSchemeError,
                      ValidationError)
 from .measurement import (DensityMatrix2, DeviationRow, MeasurementResult,
-                          density_matrix, deviation_report, measure, p_minus,
-                          p_plus, round_half_away, semiclassical_prediction,
+                          density_matrix, deviation_report, measure,
+                          round_half_away, semiclassical_prediction,
                           write_deviation_csv)
 from .quadrature import (QuadratureResult, QuadratureSpec, integrate,
                          integrate_full)
@@ -39,7 +39,7 @@ __all__ = [
     "current_general", "current_of_phi", "density_matrix",
     "deviation_report", "evolve", "exit_current_grid", "initial_state",
     "integrate", "integrate_full", "mean_phi", "measure",
-    "moment_for_rotation", "overlap", "p_minus", "p_plus", "peak_phi",
+    "moment_for_rotation", "overlap", "peak_phi",
     "pi_of_phi", "pi_of_t", "psi", "rho", "round_half_away",
     "semiclassical_prediction", "variance_phi", "width",
     "write_distribution_csv", "write_deviation_csv",

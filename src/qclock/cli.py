@@ -46,9 +46,9 @@ _PHYSICS_KEYS = ("hbar", "m0", "mu", "u", "d", "B")
 
 def default_thetas_deg(physics: PhysicsConfig) -> tuple[float, ...]:
     """Analyzer angles used by the built-in sweeps: the packet peak's
-    rotation angle plus 60 and 90 degree offsets."""
+    rotation angle plus 60 and 90 degree offsets, wrapped into [0, 360)."""
     base = math.degrees(physics.phi_peak)
-    return (base, base + 60.0, base + 90.0)
+    return tuple(theta % 360.0 for theta in (base, base + 60.0, base + 90.0))
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def run_table(cfg: RunConfig) -> Path:
 
     def cell(sigma0: float):
         dist = pi_of_phi(cfg.physics_for(sigma0), cfg.scheme, cfg.quad)
-        return [measure(dist, theta, cfg.quad) for theta in thetas_rad]
+        return [measure(dist, theta) for theta in thetas_rad]
 
     rows = [cell(sigma0) for sigma0 in cfg.sigma0_ladder]
 
@@ -234,7 +234,7 @@ def run_curve(cfg: RunConfig) -> list[Path]:
 
     def cell(sigma0: float):
         dist = pi_of_phi(cfg.physics_for(sigma0), cfg.scheme, cfg.quad)
-        return dist, peak_phi(dist), variance_phi(dist, cfg.quad)
+        return dist, peak_phi(dist), variance_phi(dist)
 
     results = [cell(sigma0) for sigma0 in cfg.sigma0_ladder]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -37,6 +37,9 @@ _TAIL_HORIZON_TURNS = 4.0
 
 _TAIL_WARN_LEVEL = 1e-6
 
+#: Points of the uniform part of the plot grid.
+_GRID_POINTS = 4096
+
 
 class ArrivalScheme(enum.Enum):
     """How the arrival-time density is obtained from the exit-point current."""
@@ -63,7 +66,8 @@ class AngularDistribution:
     resolved); ``density_fn`` is the continuous normalized density used by
     every downstream integral; ``norm_constant`` is the unnormalized total
     that was divided out; ``norm_check`` re-integrates the normalized
-    density at a higher panel order as an independent self-test.
+    density at a higher panel order as an independent self-test; ``quad``
+    is the spec it was built with, which every observable reuses.
     """
 
     grid: np.ndarray
@@ -71,7 +75,7 @@ class AngularDistribution:
     norm_check: float
     density_fn: Callable[[np.ndarray], np.ndarray]
     norm_constant: float
-    peak_hint: float
+    quad: QuadratureSpec
     split_hints: tuple
     truncated_tail_mass: float
     meta: Mapping[str, str]
@@ -79,10 +83,9 @@ class AngularDistribution:
     @classmethod
     def from_density(cls, fn: Callable[[np.ndarray], np.ndarray],
                      quad: QuadratureSpec | None = None,
-                     grid_points: int = 4096,
                      split_hints=(),
-                     meta: Optional[Mapping[str, str]] = None,
-                     truncated_tail_mass: float = 0.0) -> "AngularDistribution":
+                     meta: Optional[Mapping[str, str]] = None
+                     ) -> "AngularDistribution":
         """Normalize an arbitrary nonnegative vectorized density on [0, 2*pi].
 
         ``split_hints`` must *bracket* any feature much narrower than the
@@ -101,17 +104,15 @@ class AngularDistribution:
         def density_fn(phi, _fn=fn, _norm=norm):
             return np.asarray(_fn(np.asarray(phi, dtype=np.float64))) / _norm
 
-        grid = np.union1d(np.linspace(0.0, TWO_PI, grid_points), total.nodes)
+        grid = np.union1d(np.linspace(0.0, TWO_PI, _GRID_POINTS), total.nodes)
         density = density_fn(grid)
         if np.any(density < 0.0):
             raise ValidationError("density is negative somewhere on the grid")
         check_spec = replace(quad, panel_order=quad.panel_order + 2)
         norm_check = integrate(density_fn, 0.0, TWO_PI, check_spec, hints)
-        peak_hint = float(grid[int(np.argmax(density))])
         return cls(grid=grid, density=density, norm_check=norm_check,
-                   density_fn=density_fn, norm_constant=norm,
-                   peak_hint=peak_hint, split_hints=hints,
-                   truncated_tail_mass=truncated_tail_mass,
+                   density_fn=density_fn, norm_constant=norm, quad=quad,
+                   split_hints=hints, truncated_tail_mass=0.0,
                    meta=dict(meta) if meta else {})
 
 
@@ -174,8 +175,7 @@ def pi_of_t(cfg: PhysicsConfig, scheme: ArrivalScheme, t: float) -> float:
 
 
 def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
-              quad: QuadratureSpec | None = None,
-              grid_points: int = 4096) -> AngularDistribution:
+              quad: QuadratureSpec | None = None) -> AngularDistribution:
     """Normalized distribution of emergent spin azimuths on [0, 2*pi].
 
     The quadrature is seeded with the packet peak's rotation angle so the
@@ -194,7 +194,7 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
         "m0_g": repr(cfg.m0), "hbar_erg_s": repr(cfg.hbar),
     }
     dist = AngularDistribution.from_density(
-        weight, quad, grid_points, split_hints=hints, meta=meta)
+        weight, quad, split_hints=hints, meta=meta)
     tail = integrate(weight, TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, quad)
     tail_frac = tail / (dist.norm_constant + tail)
     if tail_frac > _TAIL_WARN_LEVEL:
@@ -242,20 +242,17 @@ def peak_phi(dist: AngularDistribution) -> float:
     return 0.5 * (lo + hi)
 
 
-def mean_phi(dist: AngularDistribution,
-             quad: QuadratureSpec | None = None) -> float:
+def mean_phi(dist: AngularDistribution) -> float:
     """First moment of the angular density."""
     return integrate(lambda p: p * dist.density_fn(p), 0.0, TWO_PI,
-                     quad or QuadratureSpec(), dist.split_hints)
+                     dist.quad, dist.split_hints)
 
 
-def variance_phi(dist: AngularDistribution,
-                 quad: QuadratureSpec | None = None) -> float:
+def variance_phi(dist: AngularDistribution) -> float:
     """Central second moment of the angular density, rad^2."""
-    quad = quad or QuadratureSpec()
-    mean = mean_phi(dist, quad)
+    mean = mean_phi(dist)
     return integrate(lambda p: (p - mean) ** 2 * dist.density_fn(p),
-                     0.0, TWO_PI, quad, dist.split_hints)
+                     0.0, TWO_PI, dist.quad, dist.split_hints)
 
 
 def write_distribution_csv(dist: AngularDistribution, path) -> None:

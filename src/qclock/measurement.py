@@ -1,11 +1,14 @@
 """Stern-Gerlach observables over an ensemble of rotated spins.
 
 For an analyzer direction at azimuth theta in the xy-plane, a spin at
-azimuth phi lands in the + channel with probability cos^2((theta-phi)/2),
-so the ensemble probabilities are convolutions of the angular density with
-cos^2 / sin^2 half-angle weights.  The same observables are also reachable
-through the ensemble density matrix; both routes are implemented and kept
-independent so they can cross-check each other.
+azimuth phi lands in the + channel with probability cos^2((theta-phi)/2).
+Since cos^2(x/2) = (1 + cos x)/2, the ensemble probabilities follow from
+the density's first trigonometric moment m1 = C + iS = <exp(i*phi)>:
+
+    P+-(theta) = (1 +- (C cos(theta) + S sin(theta))) / 2.
+
+C and S are also the ensemble density matrix's off-diagonals.  The direct
+cos^2/sin^2 convolution is kept in the tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -64,30 +67,21 @@ def _check_theta(theta: float) -> None:
         raise DomainError("theta must lie in [0, 2*pi)")
 
 
-def p_plus(dist: AngularDistribution, theta: float,
-           quad: QuadratureSpec | None = None) -> float:
-    """Probability of the + channel at analyzer azimuth theta."""
+def _first_moment(dist: AngularDistribution) -> complex:
+    """m1 = C + iS, the density's average of exp(i*phi)."""
+    fn, spec, hints = dist.density_fn, dist.quad, dist.split_hints
+    c = integrate(lambda p: fn(p) * np.cos(p), 0.0, TWO_PI, spec, hints)
+    s = integrate(lambda p: fn(p) * np.sin(p), 0.0, TWO_PI, spec, hints)
+    return complex(c, s)
+
+
+def measure(dist: AngularDistribution, theta: float) -> MeasurementResult:
+    """Both channel probabilities at analyzer azimuth theta, from one m1."""
     _check_theta(theta)
-    return integrate(
-        lambda phi: dist.density_fn(phi) * np.cos(0.5 * (theta - phi)) ** 2,
-        0.0, TWO_PI, quad or QuadratureSpec(), dist.split_hints)
-
-
-def p_minus(dist: AngularDistribution, theta: float,
-            quad: QuadratureSpec | None = None) -> float:
-    """Probability of the - channel at analyzer azimuth theta."""
-    _check_theta(theta)
-    return integrate(
-        lambda phi: dist.density_fn(phi) * np.sin(0.5 * (theta - phi)) ** 2,
-        0.0, TWO_PI, quad or QuadratureSpec(), dist.split_hints)
-
-
-def measure(dist: AngularDistribution, theta: float,
-            quad: QuadratureSpec | None = None) -> MeasurementResult:
-    """Both channel probabilities, each from its own quadrature."""
-    return MeasurementResult(theta=theta,
-                             p_plus=p_plus(dist, theta, quad),
-                             p_minus=p_minus(dist, theta, quad))
+    m1 = _first_moment(dist)
+    proj = m1.real * math.cos(theta) + m1.imag * math.sin(theta)
+    return MeasurementResult(theta=theta, p_plus=0.5 * (1.0 + proj),
+                             p_minus=0.5 * (1.0 - proj))
 
 
 def semiclassical_prediction(cfg: PhysicsConfig, theta: float) -> MeasurementResult:
@@ -102,23 +96,15 @@ def semiclassical_prediction(cfg: PhysicsConfig, theta: float) -> MeasurementRes
                              p_minus=math.sin(half) ** 2)
 
 
-def density_matrix(dist: AngularDistribution,
-                   quad: QuadratureSpec | None = None) -> DensityMatrix2:
+def density_matrix(dist: AngularDistribution) -> DensityMatrix2:
     """Ensemble density matrix: the angular average of |chi(phi)><chi(phi)|.
 
-    Diagonals are half the density's total mass; off-diagonals average
-    exp(-i*phi)/2 over the density.
+    The density is normalized, so both diagonals are 1/2; the off-diagonals
+    are m1/2 and its conjugate.
     """
-    quad = quad or QuadratureSpec()
-    hints = dist.split_hints
-    total = integrate(dist.density_fn, 0.0, TWO_PI, quad, hints)
-    avg_cos = integrate(lambda p: dist.density_fn(p) * np.cos(p),
-                        0.0, TWO_PI, quad, hints)
-    avg_sin = integrate(lambda p: dist.density_fn(p) * np.sin(p),
-                        0.0, TWO_PI, quad, hints)
-    w01 = 0.5 * complex(avg_cos, -avg_sin)
-    w = np.array([[0.5 * total, w01],
-                  [w01.conjugate(), 0.5 * total]], dtype=np.complex128)
+    m1 = _first_moment(dist)
+    w = np.array([[0.5, 0.5 * m1.conjugate()],
+                  [0.5 * m1, 0.5]], dtype=np.complex128)
     return DensityMatrix2(w=w)
 
 
@@ -140,7 +126,7 @@ def deviation_report(cfg: PhysicsConfig, scheme: ArrivalScheme,
     dist = pi_of_phi(cfg, scheme, quad)
     rows = []
     for theta in thetas:
-        result = measure(dist, theta, quad)
+        result = measure(dist, theta)
         reference = semiclassical_prediction(cfg, theta)
         rows.append(DeviationRow(
             theta=theta, p_plus=result.p_plus, p_minus=result.p_minus,

@@ -11,12 +11,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from convolution_oracle import convolution_probs
 
 from qclock import (ArrivalScheme, PhysicsConfig, current_at_exit,
                     current_general, density_matrix, integrate, measure,
-                    p_plus, peak_phi, pi_of_phi, psi, rho,
-                    round_half_away, semiclassical_prediction, variance_phi,
-                    width)
+                    peak_phi, pi_of_phi, psi, rho, round_half_away,
+                    semiclassical_prediction, variance_phi, width)
 from qclock.distribution import TWO_PI
 from qclock.quadrature import QuadratureSpec
 from qclock.spin_dynamics import evolve
@@ -203,16 +203,18 @@ def test_criterion_5_analytic_identities():
         if err > 1e-12 * scale:
             failures.append(f"exit vs general at t={t!r}: {err / scale:.2e}")
 
-    # density-matrix route vs direct convolution, 50 analyzer angles
+    # moment identity and density-matrix route vs direct convolution,
+    # 50 analyzer angles
     dist = dist_for(1.0, 1e-8)
     w = density_matrix(dist)
     for _ in range(50):
         theta = rng.uniform(0.0, TWO_PI)
-        direct = p_plus(dist, theta)
-        via_matrix = w.prob_plus(theta)
-        if abs(direct - via_matrix) > 1e-9:
-            failures.append(f"Tr(W P) vs convolution at theta={theta!r}: "
-                            f"{abs(direct - via_matrix):.2e}")
+        direct, _ = convolution_probs(dist, theta)
+        for label, value in (("Tr(W P)", w.prob_plus(theta)),
+                             ("moment identity", measure(dist, theta).p_plus)):
+            if abs(direct - value) > 1e-9:
+                failures.append(f"{label} vs convolution at theta={theta!r}: "
+                                f"{abs(direct - value):.2e}")
 
     _report(5, "analytic identity suite", failures)
 

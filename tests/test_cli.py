@@ -76,6 +76,21 @@ def test_thetas_validated():
         parse_config("thetas_deg = 400")
 
 
+@pytest.mark.parametrize("text", ["B = 100\n", "d = 2\nB = 80\n"])
+def test_default_thetas_wrap_past_a_full_turn(tmp_path, capsys, text):
+    # peak rotations of 349.48 and 469.16 degrees: the +60/+90 defaults
+    # (and for d = 2 the peak itself) pass a full turn and must wrap
+    cfg = parse_config(text)
+    base = math.degrees(cfg.physics.phi_peak)
+    assert cfg.thetas_deg == tuple((base + off) % 360.0 for off in (0.0, 60.0, 90.0))
+    assert all(0.0 <= theta < 360.0 for theta in cfg.thetas_deg)
+    path = tmp_path / "wrap.cfg"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    assert main(["validate", "--config", str(path), "--theta-deg", "10"]) == EXIT_OK
+    assert "10.00000 deg" in capsys.readouterr().out
+
+
 def test_ladder_entries_pass_validity_guard():
     with pytest.raises(ValidationError, match="exit instant"):
         parse_config("sigma0 = 1e-5, 1e-9")

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from convolution_oracle import convolution_probs
 
 from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     bracketing_hints, chi_of_phi, density_matrix,
-                    deviation_report, measure, p_minus, p_plus, pi_of_phi,
-                    round_half_away, semiclassical_prediction)
+                    deviation_report, measure, pi_of_phi, round_half_away,
+                    semiclassical_prediction)
 from qclock.distribution import TWO_PI
 from qclock.errors import DomainError
 
@@ -45,7 +46,7 @@ def uniform_dist():
 
 def test_reference_values_set_i(dist_1e8):
     for offset, expected in P_PLUS_I_1E8.items():
-        got = p_plus(dist_1e8, SET_I.phi_peak + offset)
+        got = measure(dist_1e8, SET_I.phi_peak + offset).p_plus
         assert got == pytest.approx(expected, abs=5e-5)
         assert got == pytest.approx(expected, abs=2e-8)  # frozen oracle
 
@@ -53,12 +54,12 @@ def test_reference_values_set_i(dist_1e8):
 def test_reference_values_set_ii():
     dist = pi_of_phi(PhysicsConfig(d=2.0, sigma0=1e-8), TOTAL)
     for offset, expected in P_PLUS_II_1E8.items():
-        got = p_plus(dist, SET_II.phi_peak + offset)
+        got = measure(dist, SET_II.phi_peak + offset).p_plus
         assert got == pytest.approx(expected, abs=2e-8)
 
 
 def test_narrow_packet_sixty_degrees(dist_1e5):
-    got = p_plus(dist_1e5, SET_I.phi_peak + DEG60)
+    got = measure(dist_1e5, SET_I.phi_peak + DEG60).p_plus
     assert got == pytest.approx(0.75, abs=1e-5)
 
 
@@ -74,9 +75,9 @@ def test_completeness(dist_1e8):
 
 def test_theta_domain(dist_1e5):
     with pytest.raises(DomainError):
-        p_plus(dist_1e5, -0.01)
+        measure(dist_1e5, -0.01)
     with pytest.raises(DomainError):
-        p_minus(dist_1e5, TWO_PI)
+        measure(dist_1e5, TWO_PI)
 
 
 def test_semiclassical_prediction():
@@ -117,8 +118,11 @@ def test_density_matrix_route_matches_direct_quadrature(dist_1e8):
     rng = np.random.default_rng(41)
     for _ in range(25):
         theta = rng.uniform(0.0, TWO_PI)
-        assert w.prob_plus(theta) == pytest.approx(
-            p_plus(dist_1e8, theta), abs=1e-9)
+        direct_plus, direct_minus = convolution_probs(dist_1e8, theta)
+        res = measure(dist_1e8, theta)
+        assert w.prob_plus(theta) == pytest.approx(direct_plus, abs=1e-9)
+        assert res.p_plus == pytest.approx(direct_plus, abs=1e-9)
+        assert res.p_minus == pytest.approx(direct_minus, abs=1e-9)
 
 
 def test_deviation_report_set_i():
@@ -148,7 +152,8 @@ def test_spin_term_contribution_regression(dist_1e8):
     other = pi_of_phi(cfg8, SCH)
     for offset in (0.0, DEG60, DEG90):
         theta = cfg8.phi_peak + offset
-        assert abs(p_plus(dist_1e8, theta) - p_plus(other, theta)) < 1e-9
+        assert abs(measure(dist_1e8, theta).p_plus
+                   - measure(other, theta).p_plus) < 1e-9
 
 
 def test_round_half_away():
