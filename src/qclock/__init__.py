@@ -7,11 +7,10 @@ exit-point probability current), and predicts Stern-Gerlach measurement
 probabilities along any analyzer direction.
 """
 
-from .current import (CurrentSample, current_at_exit, current_general,
-                      current_of_phi, exit_current_grid)
+from .current import current_general, exit_current_grid
 from .distribution import (AngularDistribution, ArrivalScheme,
                            bracketing_hints, mean_phi, peak_phi, pi_of_phi,
-                           pi_of_t, variance_phi, write_distribution_csv)
+                           variance_phi, write_distribution_csv)
 from .errors import (AmbiguousPeakError, ConfigParseError, ConvergenceError,
                      DegenerateDistributionError, DomainError,
                      NumericRangeError, QClockError, UnsupportedSchemeError,
@@ -32,15 +31,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngularDistribution", "ArrivalScheme", "CALIBRATED_MOMENT",
-    "CurrentSample", "DensityMatrix2", "DeviationRow", "HBAR",
-    "MeasurementResult", "NEUTRON_MASS", "NEUTRON_MOMENT", "PacketWidth",
-    "PhysicsConfig", "QuadratureResult", "QuadratureSpec", "SpinState",
-    "SpinVector", "bloch", "bracketing_hints", "chi_of_phi", "current_at_exit",
-    "current_general", "current_of_phi", "density_matrix",
+    "DensityMatrix2", "DeviationRow", "HBAR", "MeasurementResult",
+    "NEUTRON_MASS", "NEUTRON_MOMENT", "PacketWidth", "PhysicsConfig",
+    "QuadratureResult", "QuadratureSpec", "SpinState", "SpinVector", "bloch",
+    "bracketing_hints", "chi_of_phi", "current_general", "density_matrix",
     "deviation_report", "evolve", "exit_current_grid", "initial_state",
     "integrate", "integrate_full", "mean_phi", "measure",
     "moment_for_rotation", "overlap", "peak_phi",
-    "pi_of_phi", "pi_of_t", "psi", "rho", "round_half_away",
+    "pi_of_phi", "psi", "rho", "round_half_away",
     "semiclassical_prediction", "variance_phi", "width",
     "write_distribution_csv", "write_deviation_csv",
     "QClockError", "ValidationError", "DomainError", "NumericRangeError",

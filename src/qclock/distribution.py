@@ -20,16 +20,19 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .current import current_at_exit, exit_current_grid
+from .current import exit_current_grid
 from .errors import (AmbiguousPeakError, DegenerateDistributionError,
-                     DomainError, UnsupportedSchemeError, ValidationError)
+                     UnsupportedSchemeError, ValidationError)
 from .quadrature import QuadratureSpec, integrate, integrate_full
 from .wavepacket import PhysicsConfig, width
 
 TWO_PI = 2.0 * math.pi
 
-#: Angular half-width of the golden-section bracket shrink, rad.
+#: Bracket width, rad, below which the peak search stops refining.
 _PEAK_XTOL = 1e-12
+
+#: Evenly spaced density evaluations per peak-bracket refinement round.
+_PEAK_POINTS = 65
 
 #: Finite horizon (in units of 2*pi) for estimating the discarded mass at
 #: rotation angles beyond one full turn.
@@ -156,24 +159,6 @@ def _scheme_weight(cfg: PhysicsConfig, scheme: ArrivalScheme):
     return weight
 
 
-def pi_of_t(cfg: PhysicsConfig, scheme: ArrivalScheme, t: float) -> float:
-    """Unnormalized arrival-time density (1/s) at one transit time.
-
-    Only defined for t in [0, pi/omega], the window in which the rotation
-    angle stays within one turn.
-    """
-    if scheme is ArrivalScheme.SEMICLASSICAL_DELTA:
-        raise UnsupportedSchemeError(
-            "the semiclassical delta has no pointwise density; use the "
-            "closed-form measurement path instead")
-    if not 0.0 <= t <= math.pi / cfg.omega:
-        raise DomainError("t must lie in [0, pi/omega]")
-    sample = current_at_exit(cfg, t)
-    if scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT:
-        return sample.modulus
-    return abs(sample.jx_sch)
-
-
 def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
               quad: QuadratureSpec | None = None) -> AngularDistribution:
     """Normalized distribution of emergent spin azimuths on [0, 2*pi].
@@ -205,13 +190,16 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     return replace(dist, truncated_tail_mass=tail_frac)
 
 
-def _scalar_density(dist: AngularDistribution, x: float) -> float:
-    return float(dist.density_fn(np.array([x]))[0])
-
-
 def peak_phi(dist: AngularDistribution) -> float:
-    """Location of the global maximum, golden-section refined between the
-    bracketing grid points."""
+    """Location of the global maximum, refined between the bracketing grid
+    points by rounds of vectorized evaluation.
+
+    Each round evaluates the density at ``_PEAK_POINTS`` evenly spaced
+    points of the bracket and narrows it to the two spacings around the
+    largest value, until the bracket is narrower than ``_PEAK_XTOL``.
+    The bracket's midpoint is returned, so a maximum at 2*pi still gives
+    an angle below 2*pi, which ``measure`` accepts.
+    """
     density = dist.density
     top = float(density.max())
     if top <= 0.0:
@@ -224,21 +212,11 @@ def peak_phi(dist: AngularDistribution) -> float:
     i = int(np.argmax(density))
     lo = dist.grid[max(i - 1, 0)]
     hi = dist.grid[min(i + 1, dist.grid.size - 1)]
-
-    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_gold * (hi - lo)
-    x2 = lo + inv_gold * (hi - lo)
-    f1 = _scalar_density(dist, x1)
-    f2 = _scalar_density(dist, x2)
     while hi - lo > _PEAK_XTOL:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_gold * (hi - lo)
-            f2 = _scalar_density(dist, x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_gold * (hi - lo)
-            f1 = _scalar_density(dist, x1)
+        xs = np.linspace(lo, hi, _PEAK_POINTS)
+        j = int(np.argmax(dist.density_fn(xs)))
+        lo = xs[max(j - 1, 0)]
+        hi = xs[min(j + 1, _PEAK_POINTS - 1)]
     return 0.5 * (lo + hi)
 
 

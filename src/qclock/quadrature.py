@@ -37,6 +37,16 @@ from .errors import ConvergenceError, ValidationError
 #: (function values ~1e-304) from being refined forever.
 ABS_FLOOR = 1e-300
 
+#: Largest accepted panel order; the norm check runs at order + 2, and
+#: leggauss needs O(order^2) memory, so an unbounded order can exhaust it.
+MAX_PANEL_ORDER = 64
+
+#: More unconverged panels than this left after any level raise a
+#: ConvergenceError: a tolerance below the integrand's rounding noise would
+#: otherwise double them at every level until memory runs out.  Integrals
+#: that converge on the presets and on fuzzed valid configs leave at most 16.
+MAX_LIVE_PANELS = 4096
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -50,8 +60,10 @@ class QuadratureSpec:
         if not (isinstance(self.rel_tol, float) and math.isfinite(self.rel_tol)
                 and self.rel_tol > 0.0):
             raise ValidationError("rel_tol must be a positive finite float")
-        if not (isinstance(self.panel_order, int) and self.panel_order >= 8):
-            raise ValidationError("panel_order must be an integer >= 8")
+        if not (isinstance(self.panel_order, int)
+                and 8 <= self.panel_order <= MAX_PANEL_ORDER):
+            raise ValidationError(
+                f"panel_order must be an integer in [8, {MAX_PANEL_ORDER}]")
         if not (isinstance(self.max_depth, int) and self.max_depth >= 1):
             raise ValidationError("max_depth must be an integer >= 1")
 
@@ -100,8 +112,9 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     ``split_hints`` lists interior abscissas (e.g. a known spike location)
     at which the interval is pre-split before any adaptivity runs.
 
-    Raises ConvergenceError when panels remain unconverged at max_depth;
-    the exception carries the best estimate and the achieved error bound.
+    Raises ConvergenceError when panels remain unconverged at max_depth, or
+    when more than MAX_LIVE_PANELS of them remain after any level; the
+    exception carries the best estimate and the achieved error bound.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -126,7 +139,7 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     acc_nodes: list[np.ndarray] = []
     n_panels = 0
 
-    for _depth in range(1, spec.max_depth + 1):
+    for depth in range(1, spec.max_depth + 1):
         mids = 0.5 * (lefts + rights)
         child_lefts = np.empty(2 * lefts.size)
         child_rights = np.empty(2 * lefts.size)
@@ -163,13 +176,14 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         lefts = child_lefts[pair_bad]
         rights = child_rights[pair_bad]
         parent_vals = child_vals[pair_bad]
-    else:
-        best = _ordered_sum(acc_pos + [lefts], acc_val + [parent_vals])
-        residual = acc_err + float(err[bad].sum())
-        raise ConvergenceError(
-            f"{int(bad.sum())} panels still unconverged at max_depth="
-            f"{spec.max_depth} (best estimate {best!r})",
-            best_estimate=best, error_estimate=residual)
+        if depth == spec.max_depth or lefts.size > MAX_LIVE_PANELS:
+            best = _ordered_sum(acc_pos + [lefts], acc_val + [parent_vals])
+            residual = acc_err + float(err[bad].sum())
+            raise ConvergenceError(
+                f"{int(bad.sum())} panels still unconverged at depth {depth} "
+                f"(max_depth={spec.max_depth}, at most {MAX_LIVE_PANELS} "
+                f"live panels; best estimate {best!r})",
+                best_estimate=best, error_estimate=residual)
 
     value = _ordered_sum(acc_pos, acc_val)
     nodes = np.sort(np.concatenate(acc_nodes)) if keep_nodes and acc_nodes else \

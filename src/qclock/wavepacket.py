@@ -27,8 +27,9 @@ NEUTRON_MOMENT = 9.6623651e-24
 #: magnetic moment below is calibrated to hit this angle exactly.
 REFERENCE_ROTATION_DEG = 34.94767
 
-# Density exponents below this are flushed to an exact zero (rho) or
-# rejected (psi); exp(-700) ~ 1e-304 is the last comfortably normal double.
+# Density exponents below this are flushed to an exact zero (rho and the
+# exit-current kernel) or rejected (psi); exp(-700) ~ 1e-304 is the last
+# comfortably normal double.
 _EXP_FLOOR = -700.0
 
 

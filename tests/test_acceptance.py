@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from convolution_oracle import convolution_probs
 
-from qclock import (ArrivalScheme, PhysicsConfig, current_at_exit,
-                    current_general, density_matrix, integrate, measure,
+from qclock import (ArrivalScheme, PhysicsConfig, current_general,
+                    density_matrix, exit_current_grid, integrate, measure,
                     peak_phi, pi_of_phi, psi, rho, round_half_away,
                     semiclassical_prediction, variance_phi, width)
 from qclock.distribution import TWO_PI
@@ -164,8 +164,8 @@ def test_criterion_5_analytic_identities():
         hx, ht = st * 1e-4, t0 * 1e-6
         chi = evolve(SLOW.omega, t)
         drho_dt = (rho(SLOW, x, t + ht) - rho(SLOW, x, t - ht)) / (2 * ht)
-        djx_dx = (current_general(SLOW, x + hx, t, chi).jx_sch
-                  - current_general(SLOW, x - hx, t, chi).jx_sch) / (2 * hx)
+        djx_dx = (current_general(SLOW, x + hx, t, chi)[0]
+                  - current_general(SLOW, x - hx, t, chi)[0]) / (2 * hx)
         worst = max(worst, abs(drho_dt + djx_dx) / max(abs(drho_dt), abs(djx_dx)))
     if worst >= 1e-5:
         failures.append(f"continuity residual {worst:.2e} >= 1e-5")
@@ -194,12 +194,12 @@ def test_criterion_5_analytic_identities():
 
     # closed-form exit current vs general assembly
     dt = width(cfg, cfg.transit_time).sigma_t / cfg.u
-    for _ in range(100):
-        t = cfg.transit_time + rng.uniform(-8, 8) * dt
-        a = current_at_exit(cfg, t)
-        b = current_general(cfg, cfg.d, t, evolve(cfg.omega, t))
-        scale = max(a.modulus, 1e-300)
-        err = max(abs(a.jx_sch - b.jx_sch), abs(a.jz_spin - b.jz_spin))
+    ts = cfg.transit_time + rng.uniform(-8, 8, size=100) * dt
+    jx, jz = exit_current_grid(cfg, ts)
+    for t, ax, az in zip(ts, jx, jz):
+        bx, bz = current_general(cfg, cfg.d, t, evolve(cfg.omega, t))
+        scale = max(math.hypot(ax, az), 1e-300)
+        err = max(abs(ax - bx), abs(az - bz))
         if err > 1e-12 * scale:
             failures.append(f"exit vs general at t={t!r}: {err / scale:.2e}")
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -136,9 +137,11 @@ def test_exit_code_parse_error(tmp_path, capsys):
 
 def test_exit_code_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("d = -1\n")
-    assert main(["validate", "--config", str(bad)]) == EXIT_VALIDATION
-    assert "d must be positive" in capsys.readouterr().err
+    for line, message in (("d = -1", "d must be positive"),
+                          ("panel_order = 65", "panel_order must be")):
+        bad.write_text(f"{line}\n")
+        assert main(["validate", "--config", str(bad)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
 
 def test_exit_code_missing_config_file(tmp_path, capsys):
@@ -156,12 +159,17 @@ def test_exit_code_delta_scheme_curve(tmp_path, capsys):
 
 def test_exit_code_convergence(tmp_path, capsys):
     # a tolerance below the integrand's evaluation-noise floor cannot be
-    # met at any depth, let alone two levels
+    # met at any depth: two levels run out of depth, and at the default
+    # depth the live-panel cap stops the doubling long before memory does
     cfgfile = tmp_path / "shallow.cfg"
     cfgfile.write_text("sigma0 = 1e-5\nrel_tol = 1e-14\nmax_depth = 2\n")
-    code = main(["table", "--config", str(cfgfile), "--out", str(tmp_path)])
-    assert code == EXIT_CONVERGENCE
-    assert not (tmp_path / "table.csv").exists()
+    for args in (["--config", str(cfgfile)],
+                 ["--sigma0", "1e-5", "--rel-tol", "1e-14"]):
+        start = time.perf_counter()
+        code = main(["table", *args, "--out", str(tmp_path)])
+        assert code == EXIT_CONVERGENCE
+        assert time.perf_counter() - start < 1.0
+        assert not (tmp_path / "table.csv").exists()
 
 
 def test_table_single_cell(tmp_path, capsys):

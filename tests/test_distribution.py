@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
-                    bracketing_hints, current_at_exit, integrate, mean_phi,
-                    peak_phi, pi_of_phi, pi_of_t, variance_phi,
+                    bracketing_hints, exit_current_grid, integrate, mean_phi,
+                    measure, peak_phi, pi_of_phi, variance_phi,
                     write_distribution_csv)
-from qclock.distribution import TWO_PI
+from qclock import distribution
+from qclock.distribution import TWO_PI, _scheme_weight
 from qclock.errors import (AmbiguousPeakError, DegenerateDistributionError,
-                           DomainError, UnsupportedSchemeError)
+                           UnsupportedSchemeError)
 from qclock.quadrature import QuadratureSpec
 from qclock.wavepacket import width
 
@@ -43,13 +44,19 @@ def dist_i_1e8():
     return pi_of_phi(PhysicsConfig(sigma0=1e-8), TOTAL)
 
 
+def arrival_density(cfg, scheme, t):
+    """Unnormalized arrival-time density at transit time t: the scheme's
+    angular weight at phi = 2*omega*t."""
+    return float(_scheme_weight(cfg, scheme)(np.array([2.0 * cfg.omega * t]))[0])
+
+
 def test_pi_of_t_at_transit_time():
     t = SET_I.transit_time
     st = width(SET_I, t).sigma_t
     expected = SET_I.u * (2 * math.pi * st * st) ** -0.5
-    assert pi_of_t(SET_I, TOTAL, t) == pytest.approx(expected, rel=1e-14)
+    assert arrival_density(SET_I, TOTAL, t) == pytest.approx(expected, rel=1e-14)
     # the spin term vanishes there, so both modulus schemes coincide
-    assert pi_of_t(SET_I, SCH, t) == pi_of_t(SET_I, TOTAL, t)
+    assert arrival_density(SET_I, SCH, t) == arrival_density(SET_I, TOTAL, t)
 
 
 def test_pi_of_t_scheme_ordering():
@@ -58,16 +65,7 @@ def test_pi_of_t_scheme_ordering():
     dt = width(SET_I, t0).sigma_t / SET_I.u
     for _ in range(50):
         t = t0 + rng.uniform(-8, 8) * dt
-        assert pi_of_t(SET_I, TOTAL, t) >= pi_of_t(SET_I, SCH, t)
-
-
-def test_pi_of_t_domain_and_delta():
-    with pytest.raises(DomainError):
-        pi_of_t(SET_I, TOTAL, -1e-9)
-    with pytest.raises(DomainError):
-        pi_of_t(SET_I, TOTAL, math.pi / SET_I.omega * 1.01)
-    with pytest.raises(UnsupportedSchemeError):
-        pi_of_t(SET_I, DELTA, SET_I.transit_time)
+        assert arrival_density(SET_I, TOTAL, t) >= arrival_density(SET_I, SCH, t)
 
 
 def test_pi_of_phi_rejects_delta():
@@ -142,14 +140,15 @@ def test_time_angle_substitution(dist_i_1e8):
     cfg = PhysicsConfig(sigma0=1e-8)
     two_omega = 2.0 * cfg.omega
     t_norm = integrate(
-        lambda ts: np.array([pi_of_t(cfg, TOTAL, float(t)) for t in ts]),
+        lambda ts: np.hypot(*exit_current_grid(cfg, ts)),
         0.0, math.pi / cfg.omega,
         split_hints=[h / two_omega for h in dist_i_1e8.split_hints])
     rng = np.random.default_rng(31)
     w = 2 * cfg.omega * width(cfg, cfg.transit_time).sigma_t / cfg.u
     for _ in range(20):
         phi = cfg.phi_peak + rng.uniform(-3, 3) * w
-        expected = pi_of_t(cfg, TOTAL, phi / two_omega) / (two_omega * t_norm)
+        t = np.array([phi / two_omega])
+        expected = np.hypot(*exit_current_grid(cfg, t))[0] / (two_omega * t_norm)
         got = float(dist_i_1e8.density_fn(np.array([phi]))[0])
         assert got == pytest.approx(expected, rel=1e-8)
 
@@ -194,6 +193,35 @@ def test_from_density_synthetic_spike():
     assert dist.norm_check == pytest.approx(1.0, abs=1e-9)
     assert peak_phi(dist) == pytest.approx(center, abs=1e-9)
     assert variance_phi(dist) == pytest.approx(spike_width ** 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("center", [0.0, TWO_PI])
+def test_peak_at_domain_end(center):
+    # the refinement bracket is clamped at the grid ends; the peak stays
+    # an analyzer angle that measure accepts
+    spike_width = 1e-5
+    dist = AngularDistribution.from_density(
+        lambda p: np.exp(-(p - center) ** 2 / (2 * spike_width ** 2)),
+        split_hints=bracketing_hints(center, spike_width))
+    peak = peak_phi(dist)
+    assert peak == pytest.approx(center, abs=1e-12)
+    assert measure(dist, peak).p_plus == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0])
+@pytest.mark.parametrize("sigma0", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_peak_search_kernel_calls(monkeypatch, d, sigma0):
+    # each call is a vector of points; a one-point search loop needs 30+
+    dist = pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), TOTAL)
+    calls = []
+
+    def counting_kernel(cfg, t):
+        calls.append(t)
+        return exit_current_grid(cfg, t)
+
+    monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
+    peak_phi(dist)
+    assert 1 <= len(calls) <= 8
 
 
 def test_tail_warning_for_heavy_tail():

@@ -93,6 +93,9 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValidationError):
         QuadratureSpec(panel_order=4)
+    QuadratureSpec(panel_order=64)
+    with pytest.raises(ValidationError):
+        QuadratureSpec(panel_order=65)
     with pytest.raises(ValidationError):
         QuadratureSpec(max_depth=0)
 
