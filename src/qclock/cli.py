@@ -158,7 +158,10 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             thetas = _parse_float_list(value, key, line_no)
             thetas_default = False
         elif key == "scheme":
-            scheme = ArrivalScheme.from_name(value)
+            try:
+                scheme = ArrivalScheme.from_name(value)
+            except ValidationError as exc:
+                raise ConfigParseError(str(exc), line=line_no) from None
         elif key == "rel_tol":
             quad_kwargs["rel_tol"] = _parse_float(value, key, line_no)
         elif key == "panel_order":
@@ -291,7 +294,8 @@ def run_validate(cfg: RunConfig) -> None:
           f"order={cfg.quad.panel_order}, max_depth={cfg.quad.max_depth}")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser,
+                      with_scheme: bool) -> None:
     parser.add_argument("--config", type=Path, help="key=value config file")
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="built-in parameter set (rotator length)")
@@ -299,9 +303,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="initial packet width; repeat for a ladder")
     parser.add_argument("--theta-deg", action="append", type=float,
                         metavar="DEG", help="analyzer angle; repeatable")
-    parser.add_argument("--scheme",
-                        choices=[s.value for s in ArrivalScheme],
-                        help="arrival-time scheme")
+    if with_scheme:
+        parser.add_argument("--scheme",
+                            choices=[s.value for s in ArrivalScheme],
+                            help="arrival-time scheme")
+    else:
+        parser.set_defaults(scheme=None)
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument("--rel-tol", type=float, help="quadrature tolerance")
 
@@ -339,7 +346,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             ("curve", "angular density curves plus summary sidecars"),
             ("compare", "quantum schemes vs the semiclassical baseline"),
             ("validate", "check a configuration and exit")):
-        _add_common_flags(sub.add_parser(name, help=text))
+        # compare always writes both current schemes
+        _add_common_flags(sub.add_parser(name, help=text),
+                          with_scheme=name != "compare")
     args = parser.parse_args(argv)
 
     try:

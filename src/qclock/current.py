@@ -1,52 +1,21 @@
-"""Spin-augmented probability current and its exit-point specializations.
+"""Spin-augmented probability current at the rotator's exit point.
 
 The current splits into a gradient (Schrodinger) part along x and a spin
 part (grad rho x s)/m0.  For this geometry (grad rho along x, spin in the
-xy-plane) the spin part points along z, so both routes return (jx, jz).
+xy-plane) the spin part points along z, so the current is (jx, jz).
 
-Two independent code paths exist on purpose: ``current_general`` assembles
-the current from the amplitude, its gradient, and the Bloch vector, while
-``exit_current_grid`` evaluates the pre-simplified closed form at x=d over
-arrays of times.  They must agree to roundoff; tests enforce it.
+``exit_current_grid`` is the one production transcription: the
+pre-simplified closed form at x=d over arrays of times.  The second,
+independent route lives in the tests (``tests/physics_oracle.py``), which
+assemble the current at any (x, t) from the amplitude, its gradient and
+the Bloch vector; the two must agree to roundoff.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .spin_dynamics import SpinState, bloch
-from .wavepacket import _EXP_FLOOR, PhysicsConfig, psi, rho, width
-
-
-def _spin_term(cfg: PhysicsConfig, x: float, t: float, chi: SpinState):
-    """(jy, jz) of the spin current (grad rho x s)/m0 at (x, t)."""
-    s = bloch(chi, cfg.hbar)
-    st = width(cfg, t).sigma_t
-    grad_rho = -rho(cfg, x, t) * (x - cfg.u * t) / (st * st)
-    # x_hat x (sx, sy, sz) = (0, -sz, sy)
-    return -grad_rho * s.sz / cfg.m0, grad_rho * s.sy / cfg.m0
-
-
-def current_general(cfg: PhysicsConfig, x: float, t: float,
-                    chi: SpinState) -> tuple[float, float]:
-    """Current (jx, jz) at any point from amplitude + gradient + Bloch vector.
-
-    Validation path, not the hot loop.  Propagates NumericRangeError from
-    psi in far tails; production sweeps use ``exit_current_grid``.
-    """
-    amp = psi(cfg, x, t)
-    a_t = width(cfg, t).a_t
-    dlog = -(x - cfg.u * t) / (2.0 * a_t * cfg.sigma0) + 1j * cfg.k
-    grad = amp * dlog
-    jx = (amp.conjugate() * (-1j * cfg.hbar / cfg.m0) * grad).real
-    s = bloch(chi, cfg.hbar)
-    jy_spin, jz_spin = _spin_term(cfg, x, t, chi)
-    if abs(s.sz) <= 1e-12 * (0.5 * cfg.hbar):
-        # in-plane spin: the y spin term must vanish with the geometry
-        assert abs(jy_spin) <= 1e-14 * max(math.hypot(jx, jz_spin), 1e-300)
-    return jx, jz_spin
+from .wavepacket import _EXP_FLOOR, PhysicsConfig
 
 
 def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):

@@ -13,10 +13,6 @@ class DomainError(QClockError, ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class NumericRangeError(QClockError, ArithmeticError):
-    """A result would overflow or lose all precision in double arithmetic."""
-
-
 class ConvergenceError(QClockError, RuntimeError):
     """Adaptive quadrature ran out of depth before reaching tolerance.
 

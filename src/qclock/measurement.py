@@ -24,7 +24,6 @@ from .distribution import (TWO_PI, AngularDistribution, ArrivalScheme,
                            pi_of_phi, write_text_atomic)
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate
-from .spin_dynamics import chi_of_phi
 from .wavepacket import PhysicsConfig
 
 
@@ -35,31 +34,6 @@ class MeasurementResult:
     theta: float
     p_plus: float
     p_minus: float
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix2:
-    """2x2 ensemble density matrix in the z basis."""
-
-    w: np.ndarray
-
-    def trace(self) -> float:
-        return float(self.w[0, 0].real + self.w[1, 1].real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.w @ self.w).real)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.w)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.w - self.w.conj().T).max())
-
-    def prob_plus(self, theta: float) -> float:
-        """Expectation of the projector onto the +theta analyzer state."""
-        chi = chi_of_phi(theta % TWO_PI)
-        vec = np.array([chi.up, chi.down])
-        return float((vec.conj() @ self.w @ vec).real)
 
 
 def _check_theta(theta: float) -> None:
@@ -96,16 +70,17 @@ def semiclassical_prediction(cfg: PhysicsConfig, theta: float) -> MeasurementRes
                              p_minus=math.sin(half) ** 2)
 
 
-def density_matrix(dist: AngularDistribution) -> DensityMatrix2:
-    """Ensemble density matrix: the angular average of |chi(phi)><chi(phi)|.
+def density_matrix(dist: AngularDistribution) -> np.ndarray:
+    """Ensemble density matrix in the z basis, a 2x2 complex128 array: the
+    angular average of |chi(phi)><chi(phi)| with
+    chi(phi) = (|up> + exp(i*phi)|down>)/sqrt(2).
 
     The density is normalized, so both diagonals are 1/2; the off-diagonals
     are m1/2 and its conjugate.
     """
     m1 = _first_moment(dist)
-    w = np.array([[0.5, 0.5 * m1.conjugate()],
-                  [0.5 * m1, 0.5]], dtype=np.complex128)
-    return DensityMatrix2(w=w)
+    return np.array([[0.5, 0.5 * m1.conjugate()],
+                     [0.5 * m1, 0.5]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)

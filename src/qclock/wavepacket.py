@@ -2,17 +2,16 @@
 
 The packet starts centered on x=0 with width ``sigma0`` and drifts with
 group velocity ``u`` while spreading; the rotator occupies 0 <= x <= d.
-Everything here is a pure function of (config, x, t).  Units are CGS
+Everything here is a pure function of (config, t).  Units are CGS
 throughout: cm, g, s, erg, gauss.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericRangeError, ValidationError
+from .errors import DomainError, ValidationError
 
 #: Reduced Planck constant, erg s (CODATA 2018, exact SI definition).
 HBAR = 1.054571817e-27
@@ -27,9 +26,9 @@ NEUTRON_MOMENT = 9.6623651e-24
 #: magnetic moment below is calibrated to hit this angle exactly.
 REFERENCE_ROTATION_DEG = 34.94767
 
-# Density exponents below this are flushed to an exact zero (rho and the
-# exit-current kernel) or rejected (psi); exp(-700) ~ 1e-304 is the last
-# comfortably normal double.
+# The exit-current kernel flushes density exponents below this to an exact
+# zero, so far tails cost nothing and never go denormal; exp(-700) ~ 1e-304
+# is the last comfortably normal double.
 _EXP_FLOOR = -700.0
 
 
@@ -135,42 +134,3 @@ def width(cfg: PhysicsConfig, t: float) -> PacketWidth:
     s = _spread_ratio(cfg, t)
     a_t = cfg.sigma0 * complex(1.0, s)
     return PacketWidth(sigma_t=abs(a_t), a_t=a_t)
-
-
-def rho(cfg: PhysicsConfig, x: float, t: float) -> float:
-    """Position probability density at (x, t); total function, tails flush to 0.
-
-    (2*pi*sigma_t^2)^(-1/2) * exp(-(x - u*t)^2 / (2*sigma_t^2)).
-    """
-    if t < 0.0:
-        raise DomainError("t must be >= 0")
-    st = _sigma_t(cfg, t)
-    miss = x - cfg.u * t
-    arg = -(miss * miss) / (2.0 * st * st)
-    if arg < _EXP_FLOOR:
-        return 0.0
-    return math.exp(arg) / math.sqrt(2.0 * math.pi * st * st)
-
-
-def psi(cfg: PhysicsConfig, x: float, t: float) -> complex:
-    """Complex packet amplitude at (x, t); |psi|^2 equals rho(x, t).
-
-    (2*pi*a_t^2)^(-1/4) * exp(-(x-u*t)^2/(4*a_t*sigma0) + i*k*(x - u*t/2)).
-
-    Raises NumericRangeError when the amplitude would leave the normal
-    double range (far tails); callers that only need densities should use
-    rho, which is underflow-safe.
-    """
-    if t < 0.0:
-        raise DomainError("t must be >= 0")
-    a_t = width(cfg, t).a_t
-    miss = x - cfg.u * t
-    exponent = -(miss * miss) / (4.0 * a_t * cfg.sigma0) \
-        + 1j * cfg.k * (x - 0.5 * cfg.u * t)
-    if exponent.real < _EXP_FLOOR:
-        raise NumericRangeError(
-            f"|psi| underflows at x={x!r}, t={t!r} (exponent {exponent.real:.1f}); use rho")
-    value = (2.0 * math.pi * a_t * a_t) ** -0.25 * cmath.exp(exponent)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise NumericRangeError(f"psi overflowed at x={x!r}, t={t!r}")
-    return value

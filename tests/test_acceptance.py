@@ -12,14 +12,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from convolution_oracle import convolution_probs
+from physics_oracle import (_spin_term, bloch, current_general, evolve,
+                            prob_plus, psi, rho)
 
-from qclock import (ArrivalScheme, PhysicsConfig, current_general,
-                    density_matrix, exit_current_grid, integrate, measure,
-                    peak_phi, pi_of_phi, psi, rho, round_half_away,
-                    semiclassical_prediction, variance_phi, width)
+from qclock import (ArrivalScheme, PhysicsConfig, density_matrix,
+                    exit_current_grid, integrate, measure, peak_phi,
+                    pi_of_phi, round_half_away, semiclassical_prediction,
+                    variance_phi, width)
 from qclock.distribution import TWO_PI
 from qclock.quadrature import QuadratureSpec
-from qclock.spin_dynamics import evolve
 
 TOTAL = ArrivalScheme.MODULUS_TOTAL_CURRENT
 
@@ -136,11 +137,13 @@ def test_criterion_4_normalization_suite():
                 failures.append(f"norm_check d={d:g} sigma0={sigma0:g}: "
                                 f"{dist.norm_check!r}")
             w = density_matrix(dist)
-            if abs(w.trace() - 1.0) > 1e-8:
-                failures.append(f"trace d={d:g} sigma0={sigma0:g}: {w.trace()!r}")
-            if not np.all(w.eigenvalues() >= -1e-12):
+            trace = np.trace(w).real
+            if abs(trace - 1.0) > 1e-8:
+                failures.append(f"trace d={d:g} sigma0={sigma0:g}: {trace!r}")
+            eigenvalues = np.linalg.eigvalsh(w)
+            if not np.all(eigenvalues >= -1e-12):
                 failures.append(f"eigenvalues d={d:g} sigma0={sigma0:g}: "
-                                f"{w.eigenvalues()!r}")
+                                f"{eigenvalues!r}")
         for (sigma0, off), got in measured_cells(d).items():
             if abs(got.p_plus + got.p_minus - 1.0) > 1e-10:
                 failures.append(
@@ -170,16 +173,23 @@ def test_criterion_5_analytic_identities():
     if worst >= 1e-5:
         failures.append(f"continuity residual {worst:.2e} >= 1e-5")
 
-    # spin-term divergence: no y or z dependence exists, residual is exact 0
-    from qclock.current import _spin_term
+    # spin-term divergence: (grad rho x s)/m0 = curl(rho s)/m0 for a spin
+    # uniform in space, so it is divergence-free exactly when it has that
+    # form; check the form against central differences of rho
     for _ in range(20):
         t = rng.uniform(0.9, 1.1) * SLOW.transit_time
-        jy, jz = _spin_term(SLOW, SLOW.u * t * 0.99, t, evolve(SLOW.omega, t))
-        jy2, jz2 = _spin_term(SLOW, SLOW.u * t * 0.99, t, evolve(SLOW.omega, t))
+        x = SLOW.u * t * 0.99
+        chi = evolve(SLOW.omega, t)
+        jy, jz = _spin_term(SLOW, x, t, chi)
         st = width(SLOW, t).sigma_t
-        residual = abs(jy2 - jy) + abs(jz2 - jz)
-        if residual > 1e-8 * max(math.hypot(jy, jz) / st, 1e-300):
-            failures.append(f"spin divergence residual {residual:.2e}")
+        h = st * 1e-4
+        grad_rho = (rho(SLOW, x + h, t) - rho(SLOW, x - h, t)) / (2 * h)
+        s = bloch(chi, SLOW.hbar)
+        residual = abs(jy + grad_rho * s.sz / SLOW.m0) \
+            + abs(jz - grad_rho * s.sy / SLOW.m0)
+        scale = rho(SLOW, x, t) / st * s.magnitude() / SLOW.m0
+        if residual > 1e-6 * scale:
+            failures.append(f"spin divergence residual {residual / scale:.2e}")
 
     # |psi|^2 == rho
     cfg = PhysicsConfig()
@@ -210,7 +220,7 @@ def test_criterion_5_analytic_identities():
     for _ in range(50):
         theta = rng.uniform(0.0, TWO_PI)
         direct, _ = convolution_probs(dist, theta)
-        for label, value in (("Tr(W P)", w.prob_plus(theta)),
+        for label, value in (("Tr(W P)", prob_plus(w, theta)),
                              ("moment identity", measure(dist, theta).p_plus)):
             if abs(direct - value) > 1e-9:
                 failures.append(f"{label} vs convolution at theta={theta!r}: "

@@ -128,7 +128,8 @@ def test_exit_code_parse_error(tmp_path, capsys):
     for line, message in (("nonsense = 1", "unknown key"),
                           ("panel_order = 16.5", "not an integer"),
                           ("max_depth = inf", "not an integer"),
-                          ("max_depth = nan", "not an integer")):
+                          ("max_depth = nan", "not an integer"),
+                          ("scheme = bogus", "unknown scheme")):
         bad.write_text(f"# integer keys take integers only\n{line}\n")
         assert main(["validate", "--config", str(bad)]) == EXIT_PARSE
         err = capsys.readouterr().err
@@ -151,10 +152,11 @@ def test_exit_code_missing_config_file(tmp_path, capsys):
 
 
 def test_exit_code_delta_scheme_curve(tmp_path, capsys):
-    code = main(["curve", "--scheme", "semiclassical-delta",
-                 "--out", str(tmp_path)])
-    assert code == EXIT_VALIDATION
-    assert "closed-form" in capsys.readouterr().err
+    for command in ("curve", "table"):
+        code = main([command, "--scheme", "semiclassical-delta",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "closed-form" in capsys.readouterr().err
 
 
 def test_exit_code_convergence(tmp_path, capsys):
@@ -279,6 +281,15 @@ def test_compare_outputs(tmp_path):
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(34.94767, abs=1e-9)
         assert abs(float(first[4])) == pytest.approx(0.0011344, abs=5e-5)
+
+
+def test_compare_rejects_scheme_flag(tmp_path):
+    # compare always writes both current schemes; a --scheme would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scheme", "modulus-total-current",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_flag_overrides_config(tmp_path):

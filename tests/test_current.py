@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qclock import (PhysicsConfig, current_general, exit_current_grid, psi,
-                    rho, width)
-from qclock.current import _spin_term
-from qclock.spin_dynamics import SpinState, evolve
+from physics_oracle import (SpinState, _spin_term, bloch, current_general,
+                            evolve, psi, rho)
+
+from qclock import PhysicsConfig, exit_current_grid, width
 
 SET_I = PhysicsConfig()
 
@@ -92,16 +92,26 @@ def test_continuity_equation_residual():
 
 
 def test_spin_current_is_divergence_free():
-    # the spin term has no y or z dependence at all, so its divergence is
-    # an exact zero; the check guards against ever adding such a dependence
+    # (grad rho x s)/m0 = curl(rho s)/m0 for a spin uniform in space, so it
+    # is divergence-free exactly when it has that form; check the form
+    # against grad rho by central differences of rho, for random spin states
     rng = np.random.default_rng(25)
-    for t in in_packet_times(SET_I, rng, 20):
-        chi = evolve(SET_I.omega, t)
-        jy0, jz0 = _spin_term(SET_I, SET_I.d, t, chi)
-        jy1, jz1 = _spin_term(SET_I, SET_I.d, t, chi)
-        st = width(SET_I, t).sigma_t
-        magnitude = math.hypot(jy0, jz0)
-        assert abs(jy1 - jy0) + abs(jz1 - jz0) <= 1e-8 * max(magnitude / st, 1e-300)
+    t0 = SLOW.transit_time
+    for _ in range(20):
+        t = rng.uniform(0.2, 1.8) * t0
+        st = width(SLOW, t).sigma_t
+        x = SLOW.u * t + rng.uniform(-3, 3) * st
+        raw = rng.normal(size=4)
+        vec = (raw[:2] + 1j * raw[2:]) / np.linalg.norm(raw)
+        chi = SpinState(up=complex(vec[0]), down=complex(vec[1]))
+        jy, jz = _spin_term(SLOW, x, t, chi)
+        h = st * 1e-4
+        grad_rho = (rho(SLOW, x + h, t) - rho(SLOW, x - h, t)) / (2 * h)
+        s = bloch(chi, SLOW.hbar)
+        # the term's size one packet width off the centre
+        scale = rho(SLOW, x, t) / st * s.magnitude() / SLOW.m0
+        assert abs(jy - (-grad_rho * s.sz / SLOW.m0)) <= 1e-6 * scale
+        assert abs(jz - grad_rho * s.sy / SLOW.m0) <= 1e-6 * scale
 
 
 def test_schrodinger_part_matches_textbook_current():

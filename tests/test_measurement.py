@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from convolution_oracle import convolution_probs
+from physics_oracle import chi_of_phi, prob_plus
 
 from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
-                    bracketing_hints, chi_of_phi, density_matrix,
-                    deviation_report, measure, pi_of_phi, round_half_away,
+                    bracketing_hints, density_matrix, deviation_report,
+                    measure, pi_of_phi, round_half_away,
                     semiclassical_prediction)
 from qclock.distribution import TWO_PI
 from qclock.errors import DomainError
@@ -96,21 +97,22 @@ def test_density_matrix_of_spike_is_projector():
     chi = chi_of_phi(center)
     vec = np.array([chi.up, chi.down])
     projector = np.outer(vec, vec.conj())
-    assert np.allclose(w.w, projector, atol=1e-9)
-    assert w.purity() == pytest.approx(1.0, abs=1e-9)
+    assert w.dtype == np.complex128 and w.shape == (2, 2)
+    assert np.allclose(w, projector, atol=1e-9)
+    assert np.trace(w @ w).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_density_matrix_of_uniform_is_maximally_mixed():
     w = density_matrix(uniform_dist())
-    assert np.allclose(w.w, 0.5 * np.eye(2), atol=1e-10)
-    assert w.purity() == pytest.approx(0.5, abs=1e-10)
+    assert np.allclose(w, 0.5 * np.eye(2), atol=1e-10)
+    assert np.trace(w @ w).real == pytest.approx(0.5, abs=1e-10)
 
 
 def test_density_matrix_invariants(dist_1e8):
     w = density_matrix(dist_1e8)
-    assert w.trace() == pytest.approx(1.0, abs=1e-8)
-    assert w.hermiticity_defect() <= 1e-12
-    assert np.all(w.eigenvalues() >= -1e-12)
+    assert np.trace(w).real == pytest.approx(1.0, abs=1e-8)
+    assert np.abs(w - w.conj().T).max() <= 1e-12
+    assert np.all(np.linalg.eigvalsh(w) >= -1e-12)
 
 
 def test_density_matrix_route_matches_direct_quadrature(dist_1e8):
@@ -120,7 +122,7 @@ def test_density_matrix_route_matches_direct_quadrature(dist_1e8):
         theta = rng.uniform(0.0, TWO_PI)
         direct_plus, direct_minus = convolution_probs(dist_1e8, theta)
         res = measure(dist_1e8, theta)
-        assert w.prob_plus(theta) == pytest.approx(direct_plus, abs=1e-9)
+        assert prob_plus(w, theta) == pytest.approx(direct_plus, abs=1e-9)
         assert res.p_plus == pytest.approx(direct_plus, abs=1e-9)
         assert res.p_minus == pytest.approx(direct_minus, abs=1e-9)
 

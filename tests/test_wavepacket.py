@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qclock import HBAR, NEUTRON_MASS, PhysicsConfig, psi, rho, width
-from qclock.errors import DomainError, NumericRangeError, ValidationError
+from physics_oracle import NumericRangeError, psi, rho
+
+from qclock import HBAR, NEUTRON_MASS, PhysicsConfig, width
+from qclock.errors import DomainError, ValidationError
 
 SET_I = PhysicsConfig()
 
