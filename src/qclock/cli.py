@@ -112,11 +112,14 @@ def _parse_float_list(raw: str, key: str, line_no: int) -> tuple[float, ...]:
     return tuple(_parse_float(item, key, line_no) for item in items)
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config(text: str, base: RunConfig | None = None, *,
+                 allow_scheme: bool = True) -> RunConfig:
     """Parse a key=value document into a validated RunConfig.
 
     Unknown keys are rejected with their line number.  Omitted keys keep
     the base (default: the d=1 cm preset with its standard sweep axes).
+    ``allow_scheme=False`` rejects a ``scheme`` key the same way, for a
+    command that would ignore it.
     """
     cfg = base if base is not None else RunConfig()
     physics_kwargs = {k: getattr(cfg.physics, k) for k in _PHYSICS_KEYS}
@@ -158,6 +161,10 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             thetas = _parse_float_list(value, key, line_no)
             thetas_default = False
         elif key == "scheme":
+            if not allow_scheme:
+                raise ConfigParseError(
+                    "compare writes both current schemes; remove the "
+                    "'scheme' key", line=line_no)
             try:
                 scheme = ArrivalScheme.from_name(value)
             except ValidationError as exc:
@@ -206,6 +213,14 @@ def run_table(cfg: RunConfig) -> Path:
     Layout mirrors the reference tables: one row per sigma0, a
     (p_plus, p_minus) column pair per analyzer angle.
     """
+    labels: dict[str, float] = {}
+    for theta in cfg.thetas_deg:
+        label = f"{theta:.5f}"
+        if label in labels:
+            raise ValidationError(
+                f"analyzer angles {labels[label]!r} and {theta!r} deg share "
+                f"the table column label {label}")
+        labels[label] = theta
     thetas_rad = [math.radians(t) for t in cfg.thetas_deg]
 
     def cell(sigma0: float):
@@ -215,9 +230,9 @@ def run_table(cfg: RunConfig) -> Path:
     rows = [cell(sigma0) for sigma0 in cfg.sigma0_ladder]
 
     header = ["sigma0_cm"]
-    for theta in cfg.thetas_deg:
-        header.append(f"p_plus_{theta:.5f}")
-        header.append(f"p_minus_{theta:.5f}")
+    for label in labels:
+        header.append(f"p_plus_{label}")
+        header.append(f"p_minus_{label}")
     lines = [",".join(header)]
     for sigma0, results in zip(cfg.sigma0_ladder, rows):
         cells = [repr(sigma0)]
@@ -318,7 +333,9 @@ def _assemble(args: argparse.Namespace) -> RunConfig:
     if args.preset:
         cfg = apply_preset(cfg, args.preset)
     if args.config is not None:
-        cfg = parse_config(args.config.read_text(encoding="utf-8"), base=cfg)
+        # compare writes both current schemes and has no --scheme flag either
+        cfg = parse_config(args.config.read_text(encoding="utf-8"), base=cfg,
+                           allow_scheme=args.command != "compare")
     if args.sigma0:
         physics = replace(cfg.physics, sigma0=args.sigma0[0])
         cfg = replace(_with_physics(cfg, physics),

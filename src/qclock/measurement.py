@@ -42,10 +42,19 @@ def _check_theta(theta: float) -> None:
 
 
 def _first_moment(dist: AngularDistribution) -> complex:
-    """m1 = C + iS, the density's average of exp(i*phi)."""
-    fn, spec, hints = dist.density_fn, dist.quad, dist.split_hints
-    c = integrate(lambda p: fn(p) * np.cos(p), 0.0, TWO_PI, spec, hints)
-    s = integrate(lambda p: fn(p) * np.sin(p), 0.0, TWO_PI, spec, hints)
+    """m1 = C + iS, the density's average of exp(i*phi).
+
+    One adaptive pass over the stacked integrand [w, w*cos, w*sin]: the
+    density w dominates both trigonometric rows, so panels are accepted
+    against the mass row and C and S share its panels and evaluations.
+    """
+    fn = dist.density_fn
+
+    def stacked(p):
+        w = fn(p)
+        return np.stack((w, w * np.cos(p), w * np.sin(p)))
+
+    _mass, c, s = integrate(stacked, 0.0, TWO_PI, dist.quad, dist.split_hints)
     return complex(c, s)
 
 

@@ -15,10 +15,19 @@ rounding in steep exponential tails) caps the achievable per-panel relative
 agreement near 1e-9, so demanding 1e-10 of a panel carrying 1e-200 of the
 mass would burn the whole depth budget polishing nothing.
 
+The integrand may return one row, shape (n,), or k rows, shape (k, n), for
+the n abscissas it is given.  A k-row integrand is integrated in one pass
+over shared panels: a panel is accepted when the largest componentwise
+|refined - parent| is within rel_tol of the refined component 0, and the
+negligible-panel guard also reads component 0.  Component 0 must therefore
+dominate the others, as a nonnegative weight w dominates w*cos and w*sin,
+so that a tolerance on it bounds every component (scipy's ``quad_vec``
+uses a norm over all components instead).
+
 Determinism matters (output files must be byte-identical across runs), so
 panels are processed breadth-first in positional order and the accepted
-contributions are summed in ascending position with numpy's pairwise
-summation.  No randomness, no dict-order dependence.
+contributions of each component are summed in ascending position with
+numpy's pairwise summation.  No randomness, no dict-order dependence.
 """
 
 from __future__ import annotations
@@ -72,12 +81,14 @@ class QuadratureSpec:
 class QuadratureResult:
     """Converged integral plus diagnostics.
 
-    ``error`` sums the accepted child-parent differences (a conservative
-    global bound); ``nodes`` holds every abscissa of the accepted leaf
-    panels when requested, else None.
+    ``value`` is a float for a one-row integrand and a length-k float64
+    array for a k-row one.  ``error`` sums the accepted panels' largest
+    componentwise child-parent differences (a conservative global bound);
+    ``nodes`` holds every abscissa of the accepted leaf panels when
+    requested, else None.
     """
 
-    value: float
+    value: float | np.ndarray
     error: float
     n_evals: int
     n_panels: int
@@ -91,16 +102,26 @@ def _gauss_legendre(order: int):
 
 
 def _panel_values(f, lefts, rights, order):
-    """Gauss-Legendre estimates for a batch of panels; also returns nodes."""
+    """Gauss-Legendre estimates, shape (k, panels), for a batch of panels.
+
+    Also returns the nodes and whether f returned k rows rather than one.
+    """
     x, w = _gauss_legendre(order)
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
     pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=np.float64).reshape(pts.shape)
+    raw = np.asarray(f(pts.ravel()), dtype=np.float64)
+    if raw.ndim not in (1, 2) or raw.shape[-1] != pts.size:
+        raise ValidationError(
+            f"integrand must return shape (n,) or (k, n) for n={pts.size} "
+            f"points; got {raw.shape}")
+    vals = raw.reshape(-1, pts.shape[1])
     if not np.all(np.isfinite(vals)):
-        bad = pts.ravel()[~np.isfinite(vals.ravel())][0]
+        finite = np.isfinite(raw).reshape(-1, pts.size).all(axis=0)
+        bad = pts.ravel()[~finite][0]
         raise ValidationError(f"integrand returned a non-finite value near x={bad!r}")
-    return half * (vals @ w), pts
+    estimates = half * (vals @ w).reshape(-1, lefts.size)
+    return estimates, pts, raw.ndim == 2
 
 
 def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -109,8 +130,11 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                    keep_nodes: bool = False) -> QuadratureResult:
     """Integrate a vectorized f over [a, b] with full diagnostics.
 
-    ``split_hints`` lists interior abscissas (e.g. a known spike location)
-    at which the interval is pre-split before any adaptivity runs.
+    f maps n abscissas to shape (n,) or (k, n); in the second case row 0
+    must dominate the others (see the module docstring), and ``value``
+    is a length-k array.  ``split_hints`` lists interior abscissas (e.g. a
+    known spike location) at which the interval is pre-split before any
+    adaptivity runs.
 
     Raises ConvergenceError when panels remain unconverged at max_depth, or
     when more than MAX_LIVE_PANELS of them remain after any level; the
@@ -129,7 +153,7 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     lefts = np.asarray(edges[:-1], dtype=np.float64)
     rights = np.asarray(edges[1:], dtype=np.float64)
 
-    parent_vals, _ = _panel_values(f, lefts, rights, spec.panel_order)
+    parent_vals, _, rows = _panel_values(f, lefts, rights, spec.panel_order)
     n_evals = lefts.size * spec.panel_order
 
     acc_pos: list[np.ndarray] = []
@@ -145,24 +169,24 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         child_rights = np.empty(2 * lefts.size)
         child_lefts[0::2], child_lefts[1::2] = lefts, mids
         child_rights[0::2], child_rights[1::2] = mids, rights
-        child_vals, child_pts = _panel_values(f, child_lefts, child_rights,
-                                              spec.panel_order)
+        child_vals, child_pts, _ = _panel_values(f, child_lefts, child_rights,
+                                                 spec.panel_order)
         n_evals += child_lefts.size * spec.panel_order
 
-        refined = child_vals[0::2] + child_vals[1::2]
-        abs_refined = np.abs(refined)
-        err = np.abs(refined - parent_vals)
+        refined = child_vals[:, 0::2] + child_vals[:, 1::2]
+        abs_refined = np.abs(refined[0])
+        err = np.abs(refined - parent_vals).max(axis=0)
         # negligible-contribution share of the global tolerance budget,
         # from the absolute mass collected so far plus this level's view
         share = spec.rel_tol * (acc_abs + float(abs_refined.sum())) \
-            / max(refined.size, 1)
-        negligible = (abs_refined <= share) & (np.abs(parent_vals) <= share)
+            / max(abs_refined.size, 1)
+        negligible = (abs_refined <= share) & (np.abs(parent_vals[0]) <= share)
         ok = (err <= np.maximum(spec.rel_tol * abs_refined, ABS_FLOOR)) \
             | negligible
 
         if np.any(ok):
             acc_pos.append(lefts[ok])
-            acc_val.append(refined[ok])
+            acc_val.append(refined[:, ok])
             acc_err += float(err[ok].sum())
             acc_abs += float(abs_refined[ok].sum())
             n_panels += int(ok.sum())
@@ -175,9 +199,10 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         pair_bad = np.repeat(bad, 2)
         lefts = child_lefts[pair_bad]
         rights = child_rights[pair_bad]
-        parent_vals = child_vals[pair_bad]
+        parent_vals = child_vals[:, pair_bad]
         if depth == spec.max_depth or lefts.size > MAX_LIVE_PANELS:
-            best = _ordered_sum(acc_pos + [lefts], acc_val + [parent_vals])
+            best = _ordered_sum(acc_pos + [lefts], acc_val + [parent_vals],
+                                rows)
             residual = acc_err + float(err[bad].sum())
             raise ConvergenceError(
                 f"{int(bad.sum())} panels still unconverged at depth {depth} "
@@ -185,24 +210,27 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                 f"live panels; best estimate {best!r})",
                 best_estimate=best, error_estimate=residual)
 
-    value = _ordered_sum(acc_pos, acc_val)
+    value = _ordered_sum(acc_pos, acc_val, rows)
     nodes = np.sort(np.concatenate(acc_nodes)) if keep_nodes and acc_nodes else \
         (np.empty(0) if keep_nodes else None)
     return QuadratureResult(value=value, error=acc_err, n_evals=n_evals,
                             n_panels=n_panels, nodes=nodes)
 
 
-def _ordered_sum(pos_chunks, val_chunks):
-    """Sum panel contributions in ascending panel position (pairwise)."""
-    if not val_chunks:
-        return 0.0
-    pos = np.concatenate(pos_chunks)
-    val = np.concatenate(val_chunks)
-    order = np.argsort(pos, kind="stable")
-    return float(np.sum(val[order]))
+def _ordered_sum(pos_chunks, val_chunks, rows):
+    """Sum each component's panel contributions in ascending panel position
+    (pairwise, over a contiguous 1-D array); a float unless ``rows``."""
+    order = np.argsort(np.concatenate(pos_chunks), kind="stable")
+    val = np.concatenate(val_chunks, axis=1)[:, order]
+    sums = [float(np.sum(component)) for component in val]
+    return np.array(sums) if rows else sums[0]
 
 
 def integrate(f, a, b, spec: QuadratureSpec | None = None,
-              split_hints: Iterable[float] = ()) -> float:
-    """Adaptive integral of a vectorized f over [a, b]; value only."""
+              split_hints: Iterable[float] = ()) -> float | np.ndarray:
+    """Adaptive integral of a vectorized f over [a, b]; value only.
+
+    A float when f returns shape (n,); a length-k array when it returns
+    (k, n), with row 0 dominating the others (see ``integrate_full``).
+    """
     return integrate_full(f, a, b, spec, split_hints).value

@@ -194,6 +194,42 @@ def test_table_full_preset_i(tmp_path):
     assert rows[4].startswith("1e-08,0.99887,0.00113,0.75242,0.24758,0.50345,0.49655")
 
 
+TABLE_CSV = {
+    "I": """\
+sigma0_cm,p_plus_34.94767,p_minus_34.94767,p_plus_94.94767,p_minus_94.94767,p_plus_124.94767,p_minus_124.94767
+1e-05,1.00000,0.00000,0.75000,0.25000,0.50000,0.50000
+1e-06,1.00000,0.00000,0.75000,0.25000,0.50000,0.50000
+1e-07,0.99999,0.00001,0.75002,0.24998,0.50003,0.49997
+1e-08,0.99887,0.00113,0.75242,0.24758,0.50345,0.49655
+""",
+    "II": """\
+sigma0_cm,p_plus_69.89534,p_minus_69.89534,p_plus_129.89534,p_minus_129.89534,p_plus_159.89534,p_minus_159.89534
+1e-05,1.00000,0.00000,0.75000,0.25000,0.50000,0.50000
+1e-06,1.00000,0.00000,0.75000,0.25000,0.50000,0.50000
+1e-07,0.99996,0.00004,0.75004,0.24996,0.50007,0.49993
+1e-08,0.99548,0.00452,0.75359,0.24641,0.50675,0.49325
+""",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(TABLE_CSV))
+def test_table_bytes_pinned(tmp_path, preset):
+    # 5 decimals are far above any install's last-digit noise, so the full
+    # text of both preset tables is fixed
+    assert main(["table", "--preset", preset, "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "table.csv").read_bytes() == TABLE_CSV[preset].encode()
+
+
+@pytest.mark.parametrize("second", ["10", "10.000001"])
+def test_table_rejects_angles_sharing_a_column_label(tmp_path, capsys, second):
+    code = main(["table", "--theta-deg", "10", "--theta-deg", second,
+                 "--sigma0", "1e-6", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "10.0 and " + repr(float(second)) in err and "10.00000" in err
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_outputs_byte_identical_across_runs(tmp_path):
     runs = (["table", "--sigma0", "1e-7", "--sigma0", "1e-8"],
             ["curve", "--sigma0", "1e-6"],
@@ -290,6 +326,21 @@ def test_compare_rejects_scheme_flag(tmp_path):
               "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scheme", ["semiclassical-delta",
+                                    "modulus-total-current"])
+def test_compare_rejects_scheme_key(tmp_path, capsys, scheme):
+    # the config key would be ignored just like the missing --scheme flag
+    cfgfile = tmp_path / "scheme.cfg"
+    cfgfile.write_text(f"scheme = {scheme}\nsigma0 = 1e-7\n")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfgfile),
+                 "--out", str(out)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "line 1" in err and "both current schemes" in err
+    assert not out.exists()
+    assert main(["validate", "--config", str(cfgfile)]) == EXIT_OK
 
 
 def test_flag_overrides_config(tmp_path):

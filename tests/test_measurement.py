@@ -7,7 +7,7 @@ from physics_oracle import chi_of_phi, prob_plus
 
 from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     bracketing_hints, density_matrix, deviation_report,
-                    measure, pi_of_phi, round_half_away,
+                    measure, pi_of_phi, quadrature, round_half_away,
                     semiclassical_prediction)
 from qclock.distribution import TWO_PI
 from qclock.errors import DomainError
@@ -156,6 +156,22 @@ def test_spin_term_contribution_regression(dist_1e8):
         theta = cfg8.phi_peak + offset
         assert abs(measure(dist_1e8, theta).p_plus
                    - measure(other, theta).p_plus) < 1e-9
+
+
+def test_one_integral_per_angle(dist_1e8, monkeypatch):
+    # C and S come from one stacked pass, not one integral each
+    calls = []
+    original = quadrature.integrate_full
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_full", counting)
+    measure(dist_1e8, SET_I.phi_peak)
+    assert len(calls) == 1
+    density_matrix(dist_1e8)
+    assert len(calls) == 2
 
 
 def test_round_half_away():

@@ -31,6 +31,20 @@ def erf_integral(width, center, a, b):
         math.erf((b - center) / root2w) - math.erf((a - center) / root2w))
 
 
+def stacked_gaussian(width, center):
+    g = narrow_gaussian(width, center)
+
+    def f(x):
+        w = g(x)
+        return np.stack((w, w * np.cos(x), w * np.sin(x)))
+    return f
+
+
+SPIKE_WIDTH, SPIKE_CENTER = 1e-4, 0.61
+SPIKE_HINTS = [SPIKE_CENTER + s * k * SPIKE_WIDTH
+               for s in (-1, 1) for k in (1, 4, 16, 64)]
+
+
 def test_narrow_gaussian_against_erf():
     width, center = 1e-3, 0.61
     hints = [center - k * width for k in (64, 16, 4, 1)] \
@@ -73,6 +87,10 @@ def test_determinism_bit_identical():
     hints = [1.234 + s * k * 1e-4 for s in (-1, 1) for k in (1, 8, 64)]
     values = {integrate(f, 0.0, TWO_PI, split_hints=hints) for _ in range(5)}
     assert len(values) == 1
+    stacked = stacked_gaussian(SPIKE_WIDTH, SPIKE_CENTER)
+    rows = {integrate(stacked, 0.0, TWO_PI, split_hints=SPIKE_HINTS).tobytes()
+            for _ in range(5)}
+    assert len(rows) == 1
 
 
 def test_convergence_error_carries_estimate():
@@ -86,6 +104,17 @@ def test_convergence_error_carries_estimate():
     # true value: 2*(sqrt(0.7) + sqrt(0.3))
     truth = 2.0 * (math.sqrt(0.7) + math.sqrt(0.3))
     assert err.best_estimate == pytest.approx(truth, rel=0.05)
+
+    # a k-row integrand carries a length-k estimate
+    def two_rows(x):
+        w = 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-30)
+        return np.stack((w, 0.5 * w))
+    with pytest.raises(ConvergenceError) as excinfo:
+        integrate(two_rows, 0.0, 1.0, spec)
+    best = excinfo.value.best_estimate
+    assert best.shape == (2,)
+    assert best[0] == pytest.approx(err.best_estimate, rel=1e-14)
+    assert best[1] == pytest.approx(0.5 * best[0], rel=1e-14)
 
 
 def test_spec_validation():
@@ -110,6 +139,11 @@ def test_bounds_validation():
 def test_nonfinite_integrand_rejected():
     with pytest.raises(ValidationError, match="non-finite"):
         integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+    # a bad value in any row counts, not only in the dominant row 0
+    with pytest.raises(ValidationError, match="non-finite"):
+        integrate(lambda x: np.stack((np.ones_like(x), np.zeros_like(x),
+                                      np.where(x > 0.5, np.nan, 0.0))),
+                  0.0, 1.0)
 
 
 def test_full_result_diagnostics():
@@ -131,3 +165,38 @@ def test_higher_order_panels():
     spec = QuadratureSpec(panel_order=24)
     value = integrate(lambda x: np.sin(x / 2) ** 2, 0.0, TWO_PI, spec)
     assert value == pytest.approx(math.pi, rel=1e-12)
+
+
+def test_stacked_components_match_erf_and_scalar_runs():
+    value = integrate(stacked_gaussian(SPIKE_WIDTH, SPIKE_CENTER), 0.0,
+                      TWO_PI, split_hints=SPIKE_HINTS)
+    assert value.shape == (3,) and value.dtype == np.float64
+    mass = erf_integral(SPIKE_WIDTH, SPIKE_CENTER, 0.0, TWO_PI)
+    assert abs(value[0] - mass) <= 1e-10 * mass
+    g = narrow_gaussian(SPIKE_WIDTH, SPIKE_CENTER)
+    for row, component in zip(value, (g, lambda x: g(x) * np.cos(x),
+                                      lambda x: g(x) * np.sin(x))):
+        scalar = integrate(component, 0.0, TWO_PI, split_hints=SPIKE_HINTS)
+        assert abs(row - scalar) <= 1e-10 * mass
+
+
+def test_value_type_follows_integrand_rows():
+    scalar = integrate(np.exp, 0.0, 1.0)
+    assert type(scalar) is float
+    rows = integrate(lambda x: np.stack((np.exp(x), np.ones_like(x))), 0.0, 1.0)
+    assert isinstance(rows, np.ndarray) and rows.shape == (2,)
+    assert rows[0] == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert rows[1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_every_component_must_converge():
+    # row 0 is settled by the first bisection; row 1 still needs refining
+    value = integrate(lambda x: np.stack((np.ones_like(x), np.sin(200.0 * x))),
+                      0.0, 1.0)
+    assert value[0] == pytest.approx(1.0, rel=1e-14)
+    assert value[1] == pytest.approx((1.0 - math.cos(200.0)) / 200.0, abs=1e-10)
+
+
+def test_wrong_integrand_shape_rejected():
+    with pytest.raises(ValidationError, match=r"shape \(n,\) or \(k, n\)"):
+        integrate(lambda x: np.ones((2, 2, x.size)), 0.0, 1.0)
