@@ -5,8 +5,9 @@ cross this boundary in degrees and are converted to radians exactly once on
 the way in; output files report degrees again.  Identical configs produce
 byte-identical output files.
 
-Exit codes: 0 success, 2 config parse error, 3 validation error,
-4 quadrature convergence failure, 5 I/O failure.
+Exit codes: 0 success, 1 any other typed error (such as an ambiguous
+peak), 2 config parse error, 3 validation error, 4 quadrature convergence
+failure, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -207,20 +209,29 @@ def _sigma_tag(sigma0: float) -> str:
     return repr(sigma0).replace("-", "m").replace("+", "p").replace(".", "_")
 
 
+def _distinct_labels(values, label, noun: str, unit: str,
+                     target: str) -> list[str]:
+    """Each value's label, in order; two values sharing one are refused,
+    since one would silently overwrite the other's column or file."""
+    seen: dict[str, float] = {}
+    for value in values:
+        key = label(value)
+        if key in seen:
+            raise ValidationError(
+                f"{noun} {seen[key]!r} and {value!r} {unit} share the "
+                f"{target} {key}")
+        seen[key] = value
+    return list(seen)
+
+
 def run_table(cfg: RunConfig) -> Path:
     """Channel probabilities for every (sigma0, theta) cell, 5 decimals.
 
     Layout mirrors the reference tables: one row per sigma0, a
     (p_plus, p_minus) column pair per analyzer angle.
     """
-    labels: dict[str, float] = {}
-    for theta in cfg.thetas_deg:
-        label = f"{theta:.5f}"
-        if label in labels:
-            raise ValidationError(
-                f"analyzer angles {labels[label]!r} and {theta!r} deg share "
-                f"the table column label {label}")
-        labels[label] = theta
+    labels = _distinct_labels(cfg.thetas_deg, lambda theta: f"{theta:.5f}",
+                              "analyzer angles", "deg", "table column label")
     thetas_rad = [math.radians(t) for t in cfg.thetas_deg]
 
     def cell(sigma0: float):
@@ -249,9 +260,16 @@ def run_table(cfg: RunConfig) -> Path:
 
 def run_curve(cfg: RunConfig) -> list[Path]:
     """Angular density curve per sigma0, plus a summary sidecar each."""
+    _distinct_labels(cfg.sigma0_ladder,
+                     lambda sigma0: f"curve_sigma0_{_sigma_tag(sigma0)}.csv",
+                     "sigma0 values", "cm", "output file")
 
     def cell(sigma0: float):
         dist = pi_of_phi(cfg.physics_for(sigma0), cfg.scheme, cfg.quad)
+        # the norm check and the tabulation run on first read (peak_phi
+        # reads the tabulation): read both here, so that a failure in
+        # either comes before any file is written
+        dist.norm_check
         return dist, peak_phi(dist), variance_phi(dist)
 
     results = [cell(sigma0) for sigma0 in cfg.sigma0_ladder]
@@ -278,6 +296,11 @@ _COMPARE_SCHEMES = (ArrivalScheme.MODULUS_TOTAL_CURRENT,
 def run_compare(cfg: RunConfig) -> list[Path]:
     """Quantum-scheme vs semiclassical deviations; one CSV per scheme and
     sigma0."""
+    first = _COMPARE_SCHEMES[0].value
+    _distinct_labels(
+        cfg.sigma0_ladder,
+        lambda sigma0: f"compare_{first}_sigma0_{_sigma_tag(sigma0)}.csv",
+        "sigma0 values", "cm", "output file")
     thetas_rad = [math.radians(t) for t in cfg.thetas_deg]
     cells = [(scheme, sigma0) for scheme in _COMPARE_SCHEMES
              for sigma0 in cfg.sigma0_ladder]
@@ -352,7 +375,9 @@ def _assemble(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qclock",
         description="Spin-rotator quantum clock: angular distributions of "
@@ -366,7 +391,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # compare always writes both current schemes
         _add_common_flags(sub.add_parser(name, help=text),
                           with_scheme=name != "compare")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _assemble(args)

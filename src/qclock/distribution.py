@@ -15,6 +15,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -62,22 +63,28 @@ class ArrivalScheme(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class AngularDistribution:
-    """Tabulated, normalized angular density on [0, 2*pi].
+    """Normalized angular density on [0, 2*pi], tabulated on first read.
 
-    ``grid``/``density`` hold the plot-ready tabulation (uniform output
-    grid merged with the adaptive quadrature's own nodes, so spikes stay
-    resolved); ``density_fn`` is the continuous normalized density used by
-    every downstream integral; ``norm_constant`` is the unnormalized total
-    that was divided out; ``norm_check`` re-integrates the normalized
-    density at a higher panel order as an independent self-test; ``quad``
-    is the spec it was built with, which every observable reuses.
+    ``density_fn`` is the continuous normalized density used by every
+    downstream integral; ``norm_constant`` is the unnormalized total that
+    was divided out; ``nodes`` holds the accepted abscissas of that
+    normalization pass; ``quad`` is the spec it was built with, which
+    every observable reuses.
+
+    Three attributes are computed on first read and then kept, so a
+    caller that only measures never pays for them: ``grid``/``density``
+    hold the plot-ready tabulation (uniform output grid merged with
+    ``nodes``, so spikes stay resolved), and ``norm_check`` re-integrates
+    the normalized density at a higher panel order as an independent
+    self-test.  A ``ConvergenceError`` of that self-test therefore
+    surfaces on first read of ``norm_check``, and a density that dips
+    below zero only between the nodes raises ``ValidationError`` on first
+    read of ``density``.
     """
 
-    grid: np.ndarray
-    density: np.ndarray
-    norm_check: float
     density_fn: Callable[[np.ndarray], np.ndarray]
     norm_constant: float
+    nodes: np.ndarray
     quad: QuadratureSpec
     split_hints: tuple
     truncated_tail_mass: float
@@ -91,14 +98,23 @@ class AngularDistribution:
                      ) -> "AngularDistribution":
         """Normalize an arbitrary nonnegative vectorized density on [0, 2*pi].
 
-        ``split_hints`` must *bracket* any feature much narrower than the
-        domain, not merely mark it: panels whose nodes all miss a spike
-        evaluate to zero and get accepted as converged.  Use a ladder of
-        points on both flanks (see ``bracketing_hints``).
+        Runs the normalization pass only; any negative value it evaluates
+        raises ``ValidationError``.  ``split_hints`` must *bracket* any
+        feature much narrower than the domain, not merely mark it: panels
+        whose nodes all miss a spike evaluate to zero and get accepted as
+        converged.  Use a ladder of points on both flanks (see
+        ``bracketing_hints``).
         """
         quad = quad or QuadratureSpec()
         hints = tuple(split_hints)
-        total = integrate_full(fn, 0.0, TWO_PI, quad, hints, keep_nodes=True)
+
+        def nonnegative(phi):
+            values = np.asarray(fn(phi))
+            _check_nonnegative(values)
+            return values
+
+        total = integrate_full(nonnegative, 0.0, TWO_PI, quad, hints,
+                               keep_nodes=True)
         if not math.isfinite(total.value) or total.value <= 0.0:
             raise DegenerateDistributionError(
                 f"density integrates to {total.value!r}; nothing to normalize")
@@ -107,16 +123,30 @@ class AngularDistribution:
         def density_fn(phi, _fn=fn, _norm=norm):
             return np.asarray(_fn(np.asarray(phi, dtype=np.float64))) / _norm
 
-        grid = np.union1d(np.linspace(0.0, TWO_PI, _GRID_POINTS), total.nodes)
-        density = density_fn(grid)
-        if np.any(density < 0.0):
-            raise ValidationError("density is negative somewhere on the grid")
-        check_spec = replace(quad, panel_order=quad.panel_order + 2)
-        norm_check = integrate(density_fn, 0.0, TWO_PI, check_spec, hints)
-        return cls(grid=grid, density=density, norm_check=norm_check,
-                   density_fn=density_fn, norm_constant=norm, quad=quad,
-                   split_hints=hints, truncated_tail_mass=0.0,
-                   meta=dict(meta) if meta else {})
+        return cls(density_fn=density_fn, norm_constant=norm,
+                   nodes=total.nodes, quad=quad, split_hints=hints,
+                   truncated_tail_mass=0.0, meta=dict(meta) if meta else {})
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return np.union1d(np.linspace(0.0, TWO_PI, _GRID_POINTS), self.nodes)
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        density = self.density_fn(self.grid)
+        _check_nonnegative(density)
+        return density
+
+    @cached_property
+    def norm_check(self) -> float:
+        check_spec = replace(self.quad, panel_order=self.quad.panel_order + 2)
+        return integrate(self.density_fn, 0.0, TWO_PI, check_spec,
+                         self.split_hints)
+
+
+def _check_nonnegative(values: np.ndarray) -> None:
+    if np.any(values < 0.0):
+        raise ValidationError("density is negative somewhere on the grid")
 
 
 #: Flank scales (in units of the spike width) at which bracketing hints are

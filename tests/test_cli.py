@@ -8,7 +8,8 @@ from qclock.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE,
                         EXIT_VALIDATION, RunConfig, apply_preset, main,
                         parse_config, run_table, serialize)
 from qclock.distribution import ArrivalScheme
-from qclock.errors import ConfigParseError, ValidationError
+from qclock.errors import ConfigParseError, ConvergenceError, ValidationError
+from qclock.quadrature import QuadratureSpec
 
 
 def test_empty_config_gives_default_preset():
@@ -352,3 +353,61 @@ def test_flag_overrides_config(tmp_path):
     assert code == EXIT_OK
     rows = (out / "table.csv").read_text().splitlines()
     assert rows[1] == "1e-05,1.00000,0.00000"  # d=2 from preset, flag sigma0
+
+
+@pytest.mark.parametrize("command,name", [
+    ("curve", "curve_sigma0_1em06.csv"),
+    ("compare", "compare_modulus-total-current_sigma0_1em06.csv")])
+def test_sigma0_sharing_a_file_tag_is_refused(tmp_path, capsys, monkeypatch,
+                                              command, name):
+    # the second cell would silently overwrite the first cell's files
+    calls = []
+    monkeypatch.setattr(distribution, "exit_current_grid",
+                        lambda cfg, t: calls.append(t))
+    out = tmp_path / "out"
+    code = main([command, "--sigma0", "1e-6", "--sigma0", "0.000001",
+                 "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "1e-06 and 1e-06" in err and name in err
+    assert calls == []  # refused before any cell is computed
+    assert not out.exists()
+
+
+def test_curve_computes_every_cell_before_writing(tmp_path, capsys,
+                                                  monkeypatch):
+    # the order+2 norm check runs on first read; it must still run inside
+    # each cell, so a failure in the last cell leaves no file behind
+    integrate = distribution.integrate
+    check_order = QuadratureSpec().panel_order + 2
+    checks = []
+
+    def failing_second_check(f, a, b, spec=None, split_hints=()):
+        if spec is not None and spec.panel_order == check_order:
+            checks.append(spec)
+            if len(checks) == 2:
+                raise ConvergenceError("injected norm-check failure",
+                                       best_estimate=1.0, error_estimate=1.0)
+        return integrate(f, a, b, spec, split_hints)
+
+    monkeypatch.setattr(distribution, "integrate", failing_second_check)
+    code = main(["curve", "--sigma0", "1e-5", "--sigma0", "1e-6",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONVERGENCE
+    assert "injected" in capsys.readouterr().err
+    assert len(checks) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_successive_main_calls_share_no_state(tmp_path):
+    # the parser is built once; each call still starts from its defaults
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["table", "--sigma0", "1e-6", "--sigma0", "1e-7",
+                 "--out", str(first)]) == EXIT_OK
+    assert main(["table", "--sigma0", "1e-6", "--out", str(second)]) == EXIT_OK
+    assert len((first / "table.csv").read_text().splitlines()) == 3
+    assert len((second / "table.csv").read_text().splitlines()) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scheme", "modulus-total-current",
+              "--out", str(tmp_path / "compare")])
+    assert exc.value.code == 2

@@ -9,9 +9,10 @@ from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     measure, peak_phi, pi_of_phi, variance_phi,
                     write_distribution_csv)
 from qclock import distribution
+from qclock.cli import RunConfig, run_table
 from qclock.distribution import TWO_PI, _scheme_weight
 from qclock.errors import (AmbiguousPeakError, DegenerateDistributionError,
-                           UnsupportedSchemeError)
+                           UnsupportedSchemeError, ValidationError)
 from qclock.quadrature import QuadratureSpec
 from qclock.wavepacket import width
 
@@ -213,6 +214,7 @@ def test_peak_at_domain_end(center):
 def test_peak_search_kernel_calls(monkeypatch, d, sigma0):
     # each call is a vector of points; a one-point search loop needs 30+
     dist = pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), TOTAL)
+    dist.density  # the plot tabulation is one call of its own, not the search
     calls = []
 
     def counting_kernel(cfg, t):
@@ -240,3 +242,37 @@ def test_grid_includes_adaptive_nodes(dist_i):
     w = 2 * SET_I.omega * width(SET_I, SET_I.transit_time).sigma_t / SET_I.u
     inside = np.sum(np.abs(dist_i.grid - SET_I.phi_peak) < 3 * w)
     assert inside > 50
+
+
+def test_measuring_cell_never_tabulates(monkeypatch, tmp_path):
+    # measure reads only density_fn; the plot grid, its density and the
+    # order+2 norm check are built on first read, which never comes
+    dist = pi_of_phi(SET_I, TOTAL)
+    measure(dist, SET_I.phi_peak)
+    assert not {"grid", "density", "norm_check"} & set(vars(dist))
+
+    points = []
+
+    def counting_kernel(cfg, t):
+        points.append(np.asarray(t).size)
+        return exit_current_grid(cfg, t)
+
+    monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
+    run_table(RunConfig(sigma0_ladder=(1e-6,), output_dir=tmp_path))
+    # the 4096-point uniform grid alone would exceed this
+    assert 0 < sum(points) < 4096
+
+
+def test_from_density_rejects_negative_at_construction():
+    with pytest.raises(ValidationError, match="negative"):
+        AngularDistribution.from_density(lambda p: np.cos(p) + 0.5)
+
+
+def test_negative_between_nodes_raises_on_first_read_of_density():
+    # a dip narrower than any gap between quadrature nodes passes the
+    # normalization pass and is caught when the plot grid is tabulated
+    dip = np.linspace(0.0, TWO_PI, 4096)[100]
+    dist = AngularDistribution.from_density(
+        lambda p: np.where(np.abs(p - dip) < 1e-13, -1.0, 1.0))
+    with pytest.raises(ValidationError, match="negative"):
+        dist.density
