@@ -15,7 +15,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -78,8 +78,8 @@ class AngularDistribution:
     the normalized density at a higher panel order as an independent
     self-test.  A ``ConvergenceError`` of that self-test therefore
     surfaces on first read of ``norm_check``, and a density that dips
-    below zero only between the nodes raises ``ValidationError`` on first
-    read of ``density``.
+    below zero, or is not finite, only between the nodes raises
+    ``ValidationError`` on first read of ``density``.
     """
 
     density_fn: Callable[[np.ndarray], np.ndarray]
@@ -129,11 +129,13 @@ class AngularDistribution:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        return np.union1d(np.linspace(0.0, TWO_PI, _GRID_POINTS), self.nodes)
+        return np.union1d(_uniform_grid(), self.nodes)
 
     @cached_property
     def density(self) -> np.ndarray:
         density = self.density_fn(self.grid)
+        if not np.all(np.isfinite(density)):
+            raise ValidationError("density is not finite somewhere on the grid")
         _check_nonnegative(density)
         return density
 
@@ -142,6 +144,11 @@ class AngularDistribution:
         check_spec = replace(self.quad, panel_order=self.quad.panel_order + 2)
         return integrate(self.density_fn, 0.0, TWO_PI, check_spec,
                          self.split_hints)
+
+
+def _uniform_grid() -> np.ndarray:
+    """The uniform part of the plot grid."""
+    return np.linspace(0.0, TWO_PI, _GRID_POINTS)
 
 
 def _check_nonnegative(values: np.ndarray) -> None:
@@ -264,16 +271,58 @@ def variance_phi(dist: AngularDistribution) -> float:
 
 
 def write_distribution_csv(dist: AngularDistribution, path) -> None:
-    """Two-column CSV (phi_rad, density_per_rad) with a comment header."""
+    """Two-column CSV (phi_rad, density_per_rad) with a comment header.
+
+    Each row holds ``f"{phi:.17g},{density:.17g}"`` of one grid point, but
+    only the values that differ between distributions are formatted
+    fresh: the quadrature nodes and every density other than +0.0.  The
+    labels of the 4096 uniform grid points are formatted on the first
+    write in a process and then reused, and a +0.0 density (the kernel
+    flushes most of the grid to it) is written as ``0``; a -0.0 density
+    is formatted, so it still reads ``-0``.  The bytes are those of
+    formatting every row.
+    """
     lines = []
     for key, val in dist.meta.items():
         lines.append(f"# {key} = {val}")
     lines.append(f"# norm_check = {dist.norm_check!r}")
     lines.append(f"# truncated_tail_mass = {dist.truncated_tail_mass!r}")
     lines.append("phi_rad,density_per_rad")
-    for phi, dens in zip(dist.grid, dist.density):
-        lines.append(f"{phi:.17g},{dens:.17g}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    density = dist.density
+    fields = np.empty((density.size, 2), dtype=object)
+    fields[:, 0] = _phi_fields(dist.grid)
+    fields[:, 1] = "0\n"
+    fresh = (density != 0.0) | np.signbit(density)
+    fields[fresh, 1] = [f"{x:.17g}\n" for x in density[fresh].tolist()]
+    write_text_atomic(path, "\n".join(lines) + "\n"
+                      + "".join(fields.ravel().tolist()))
+
+
+@lru_cache(maxsize=1)
+def _uniform_phi_labels() -> tuple[np.ndarray, np.ndarray]:
+    """The uniform grid points and their CSV fields ``f"{phi:.17g},"``."""
+    uniform = _uniform_grid()
+    labels = np.array([f"{x:.17g}," for x in uniform.tolist()], dtype=object)
+    # every write shares these arrays
+    uniform.flags.writeable = labels.flags.writeable = False
+    return uniform, labels
+
+
+def _phi_fields(grid: np.ndarray) -> np.ndarray:
+    """``f"{phi:.17g},"`` for every grid point, reusing the uniform labels.
+
+    A label is reused only where the grid holds exactly that uniform
+    point; a -0.0 equals 0.0 but formats as ``-0``, so it is formatted.
+    """
+    uniform, labels = _uniform_phi_labels()
+    at = np.minimum(np.searchsorted(grid, uniform), grid.size - 1)
+    hit = (grid[at] == uniform) & ~np.signbit(grid[at])
+    fields = np.empty(grid.size, dtype=object)
+    fresh = np.ones(grid.size, dtype=bool)
+    fields[at[hit]] = labels[hit]
+    fresh[at[hit]] = False
+    fields[fresh] = [f"{x:.17g}," for x in grid[fresh].tolist()]
+    return fields
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qclock import distribution
+from qclock import cli, distribution
 from qclock.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE,
                         EXIT_VALIDATION, RunConfig, apply_preset, main,
                         parse_config, run_table, serialize)
@@ -411,3 +411,34 @@ def test_successive_main_calls_share_no_state(tmp_path):
         main(["compare", "--scheme", "modulus-total-current",
               "--out", str(tmp_path / "compare")])
     assert exc.value.code == 2
+
+
+def test_curve_writes_each_curve_through_the_cli_attribute(tmp_path,
+                                                           monkeypatch):
+    # the benchmark's tracer times the curve writer by rebinding this name
+    written = []
+    write = cli.write_distribution_csv
+
+    def counting_write(dist, path):
+        written.append(path.name)
+        write(dist, path)
+
+    monkeypatch.setattr(cli, "write_distribution_csv", counting_write)
+    assert main(["curve", "--sigma0", "1e-5", "--sigma0", "1e-6",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert written == ["curve_sigma0_1em05.csv", "curve_sigma0_1em06.csv"]
+
+
+def test_only_curve_formats_the_uniform_phi_labels(tmp_path):
+    # table and compare write no curve, so they pay neither the time nor
+    # the memory of the cached labels
+    labels = distribution._uniform_phi_labels
+    labels.cache_clear()
+    assert main(["table", "--sigma0", "1e-6",
+                 "--out", str(tmp_path / "table")]) == EXIT_OK
+    assert main(["compare", "--sigma0", "1e-6",
+                 "--out", str(tmp_path / "compare")]) == EXIT_OK
+    assert labels.cache_info().currsize == 0
+    assert main(["curve", "--sigma0", "1e-6",
+                 "--out", str(tmp_path / "curve")]) == EXIT_OK
+    assert labels.cache_info().currsize == 1

@@ -9,7 +9,7 @@ from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     measure, peak_phi, pi_of_phi, variance_phi,
                     write_distribution_csv)
 from qclock import distribution
-from qclock.cli import RunConfig, run_table
+from qclock.cli import DEFAULT_SIGMA0_LADDER, PRESETS, RunConfig, run_table
 from qclock.distribution import TWO_PI, _scheme_weight
 from qclock.errors import (AmbiguousPeakError, DegenerateDistributionError,
                            UnsupportedSchemeError, ValidationError)
@@ -173,6 +173,54 @@ def test_csv_round_trip(tmp_path, dist_i):
     assert np.array_equal(data[:, 1], dist_i.density)
 
 
+def row_by_row_csv(dist):
+    """The curve file's text with every row formatted from the numpy
+    arrays, as the writer did before it reused any field."""
+    lines = [f"# {key} = {val}" for key, val in dist.meta.items()]
+    lines.append(f"# norm_check = {dist.norm_check!r}")
+    lines.append(f"# truncated_tail_mass = {dist.truncated_tail_mass!r}")
+    lines.append("phi_rad,density_per_rad")
+    for phi, dens in zip(dist.grid, dist.density):
+        lines.append(f"{phi:.17g},{dens:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("scheme", [TOTAL, SCH])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_csv_bytes_match_row_by_row_formatting(tmp_path, preset, scheme):
+    path = tmp_path / "curve.csv"
+    for sigma0 in DEFAULT_SIGMA0_LADDER:
+        dist = pi_of_phi(PhysicsConfig(d=PRESETS[preset], sigma0=sigma0),
+                         scheme)
+        write_distribution_csv(dist, path)
+        assert path.read_bytes() == row_by_row_csv(dist).encode()
+
+
+def test_csv_bytes_keep_signed_zero_density(tmp_path):
+    # -0.0 == 0.0, but it must still be written as -0
+    dist = AngularDistribution.from_density(
+        lambda p: np.where(p < 1.0, -0.0, np.where(p < 2.0, 0.0, 1.0)))
+    assert np.signbit(dist.density[dist.grid < 1.0]).all()
+    assert (dist.density == 0.0).sum() > (dist.grid < 1.0).sum()
+    path = tmp_path / "curve.csv"
+    write_distribution_csv(dist, path)
+    assert path.read_bytes() == row_by_row_csv(dist).encode()
+    assert "\n0,-0\n" in path.read_text()
+
+
+def test_csv_bytes_keep_tiny_density(tmp_path):
+    # the flanks of a narrow spike run through subnormal densities
+    center, spike_width = 3.0, 0.05
+    dist = AngularDistribution.from_density(
+        lambda p: np.exp(-(p - center) ** 2 / (2 * spike_width ** 2)),
+        split_hints=bracketing_hints(center, spike_width))
+    tiny = (dist.density > 0.0) & (dist.density < np.finfo(float).tiny)
+    assert tiny.any()
+    path = tmp_path / "curve.csv"
+    write_distribution_csv(dist, path)
+    assert path.read_bytes() == row_by_row_csv(dist).encode()
+
+
 def test_from_density_uniform_peak_is_ambiguous():
     dist = AngularDistribution.from_density(lambda p: np.ones_like(p))
     assert dist.norm_check == pytest.approx(1.0, abs=1e-10)
@@ -276,3 +324,22 @@ def test_negative_between_nodes_raises_on_first_read_of_density():
         lambda p: np.where(np.abs(p - dip) < 1e-13, -1.0, 1.0))
     with pytest.raises(ValidationError, match="negative"):
         dist.density
+
+
+@pytest.mark.parametrize("read", ["density", "peak_phi", "write_csv"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_between_nodes_raises_on_first_read(tmp_path, bad, read):
+    # a non-finite value that no quadrature node sees must not reach a
+    # curve file or the peak search
+    spot = np.linspace(0.0, TWO_PI, 4096)[100]
+    dist = AngularDistribution.from_density(
+        lambda p: np.where(np.abs(p - spot) < 1e-13, bad, 1.0))
+    readers = {
+        "density": lambda: dist.density,
+        "peak_phi": lambda: peak_phi(dist),
+        "write_csv": lambda: write_distribution_csv(dist,
+                                                    tmp_path / "curve.csv"),
+    }
+    with pytest.raises(ValidationError, match="not finite"):
+        readers[read]()
+    assert list(tmp_path.iterdir()) == []
