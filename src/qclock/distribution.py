@@ -98,8 +98,11 @@ class AngularDistribution:
                      ) -> "AngularDistribution":
         """Normalize an arbitrary nonnegative vectorized density on [0, 2*pi].
 
-        Runs the normalization pass only; any negative value it evaluates
-        raises ``ValidationError``.  ``split_hints`` must *bracket* any
+        Runs the normalization pass only; any negative or complex value
+        it evaluates raises ``ValidationError``.  ``fn`` must be
+        elementwise: a point's value may not depend on which other points
+        share the call, since the quadrature evaluates many panels' nodes
+        in one call.  ``split_hints`` must *bracket* any
         feature much narrower than the domain, not merely mark it: panels
         whose nodes all miss a spike evaluate to zero and get accepted as
         converged.  Use a ladder of points on both flanks (see

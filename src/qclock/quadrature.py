@@ -24,10 +24,20 @@ dominate the others, as a nonnegative weight w dominates w*cos and w*sin,
 so that a tolerance on it bounds every component (scipy's ``quad_vec``
 uses a norm over all components instead).
 
+Each level of bisection is one integrand call, and the first two levels
+share one: the initial panels, whose estimates serve only as the error
+reference of their children, are evaluated in the same call as those
+children.  An integral accepted at the first bisection therefore calls the
+integrand once.  The integrand must be elementwise: a point's value may not
+depend on which other points share the call.
+
 Determinism matters (output files must be byte-identical across runs), so
 panels are processed breadth-first in positional order and the accepted
 contributions of each component are summed in ascending position with
-numpy's pairwise summation.  No randomness, no dict-order dependence.
+numpy's pairwise summation.  Each panel batch of a call keeps its own
+Gauss-Legendre matrix product, because BLAS rounding depends on the shape
+of the product: one product over every batch of a call would move last
+bits.  No randomness, no dict-order dependence.
 """
 
 from __future__ import annotations
@@ -101,26 +111,49 @@ def _gauss_legendre(order: int):
     return x, w
 
 
-def _panel_values(f, lefts, rights, order):
-    """Gauss-Legendre estimates, shape (k, panels), for a batch of panels.
+def _bisect(lefts, rights):
+    """The two children of every panel, in ascending position."""
+    mids = 0.5 * (lefts + rights)
+    child_lefts = np.empty(2 * lefts.size)
+    child_rights = np.empty(2 * lefts.size)
+    child_lefts[0::2], child_lefts[1::2] = lefts, mids
+    child_rights[0::2], child_rights[1::2] = mids, rights
+    return child_lefts, child_rights
 
-    Also returns the nodes and whether f returned k rows rather than one.
+
+def _panel_values(f, order, *batches):
+    """Gauss-Legendre estimates for one or more panel batches, from one call
+    of f on all their nodes.
+
+    Each batch is a (lefts, rights) pair.  Returns one estimate array of
+    shape (k, panels) per batch, one node array of shape (panels, order)
+    per batch, and whether f returned k rows rather than one.  Each batch
+    gets its own ``vals @ w`` (see the module docstring).
     """
     x, w = _gauss_legendre(order)
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    raw = np.asarray(f(pts.ravel()), dtype=np.float64)
-    if raw.ndim not in (1, 2) or raw.shape[-1] != pts.size:
+    halves = [0.5 * (rights - lefts) for lefts, rights in batches]
+    pts = [(0.5 * (rights + lefts))[:, None] + half[:, None] * x[None, :]
+           for (lefts, rights), half in zip(batches, halves)]
+    flat = np.concatenate([p.ravel() for p in pts])
+    raw = np.asarray(f(flat))
+    if np.iscomplexobj(raw):
         raise ValidationError(
-            f"integrand must return shape (n,) or (k, n) for n={pts.size} "
+            f"integrand must return real values; got dtype {raw.dtype}")
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.ndim not in (1, 2) or raw.shape[-1] != flat.size:
+        raise ValidationError(
+            f"integrand must return shape (n,) or (k, n) for n={flat.size} "
             f"points; got {raw.shape}")
-    vals = raw.reshape(-1, pts.shape[1])
-    if not np.all(np.isfinite(vals)):
-        finite = np.isfinite(raw).reshape(-1, pts.size).all(axis=0)
-        bad = pts.ravel()[~finite][0]
+    if not np.all(np.isfinite(raw)):
+        finite = np.isfinite(raw).reshape(-1, flat.size).all(axis=0)
+        bad = flat[~finite][0]
         raise ValidationError(f"integrand returned a non-finite value near x={bad!r}")
-    estimates = half * (vals @ w).reshape(-1, lefts.size)
+    estimates = []
+    start = 0
+    for half, p in zip(halves, pts):
+        vals = raw[..., start:start + p.size].reshape(-1, order)
+        estimates.append(half * (vals @ w).reshape(-1, half.size))
+        start += p.size
     return estimates, pts, raw.ndim == 2
 
 
@@ -130,11 +163,16 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                    keep_nodes: bool = False) -> QuadratureResult:
     """Integrate a vectorized f over [a, b] with full diagnostics.
 
-    f maps n abscissas to shape (n,) or (k, n); in the second case row 0
-    must dominate the others (see the module docstring), and ``value``
-    is a length-k array.  ``split_hints`` lists interior abscissas (e.g. a
-    known spike location) at which the interval is pre-split before any
-    adaptivity runs.
+    f maps n abscissas to shape (n,) or (k, n) of real values; in the
+    second case row 0 must dominate the others (see the module
+    docstring), and ``value`` is a length-k array.  f must be elementwise:
+    a point's value may not depend on which other points share the call,
+    because the initial panels and their first bisection are evaluated in
+    one call, and every later level in one call of its own.  An integral
+    accepted at depth d therefore calls f d times.  Each panel batch keeps
+    its own matrix product, since BLAS rounding depends on the batch.
+    ``split_hints`` lists interior abscissas (e.g. a known spike location)
+    at which the interval is pre-split before any adaptivity runs.
 
     Raises ConvergenceError when panels remain unconverged at max_depth, or
     when more than MAX_LIVE_PANELS of them remain after any level; the
@@ -144,6 +182,7 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         spec = QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValidationError("need finite bounds with a < b")
+    order = spec.panel_order
 
     edges = [a]
     for h in sorted(set(float(h) for h in split_hints)):
@@ -153,8 +192,10 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     lefts = np.asarray(edges[:-1], dtype=np.float64)
     rights = np.asarray(edges[1:], dtype=np.float64)
 
-    parent_vals, _, rows = _panel_values(f, lefts, rights, spec.panel_order)
-    n_evals = lefts.size * spec.panel_order
+    child_lefts, child_rights = _bisect(lefts, rights)
+    (parent_vals, child_vals), (_, child_pts), rows = _panel_values(
+        f, order, (lefts, rights), (child_lefts, child_rights))
+    n_evals = (lefts.size + child_lefts.size) * order
 
     acc_pos: list[np.ndarray] = []
     acc_val: list[np.ndarray] = []
@@ -164,14 +205,11 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     n_panels = 0
 
     for depth in range(1, spec.max_depth + 1):
-        mids = 0.5 * (lefts + rights)
-        child_lefts = np.empty(2 * lefts.size)
-        child_rights = np.empty(2 * lefts.size)
-        child_lefts[0::2], child_lefts[1::2] = lefts, mids
-        child_rights[0::2], child_rights[1::2] = mids, rights
-        child_vals, child_pts, _ = _panel_values(f, child_lefts, child_rights,
-                                                 spec.panel_order)
-        n_evals += child_lefts.size * spec.panel_order
+        if depth > 1:
+            child_lefts, child_rights = _bisect(lefts, rights)
+            (child_vals,), (child_pts,), _ = _panel_values(
+                f, order, (child_lefts, child_rights))
+            n_evals += child_lefts.size * order
 
         refined = child_vals[:, 0::2] + child_vals[:, 1::2]
         abs_refined = np.abs(refined[0])
@@ -184,6 +222,14 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         ok = (err <= np.maximum(spec.rel_tol * abs_refined, ABS_FLOOR)) \
             | negligible
 
+        if ok.all():
+            acc_pos.append(lefts)
+            acc_val.append(refined)
+            acc_err += float(err.sum())
+            n_panels += lefts.size
+            if keep_nodes:
+                acc_nodes.append(child_pts.ravel())
+            break
         if np.any(ok):
             acc_pos.append(lefts[ok])
             acc_val.append(refined[:, ok])
@@ -191,11 +237,8 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             acc_abs += float(abs_refined[ok].sum())
             n_panels += int(ok.sum())
             if keep_nodes:
-                pair_ok = np.repeat(ok, 2)
-                acc_nodes.append(child_pts[pair_ok].ravel())
+                acc_nodes.append(child_pts[np.repeat(ok, 2)].ravel())
         bad = ~ok
-        if not np.any(bad):
-            break
         pair_bad = np.repeat(bad, 2)
         lefts = child_lefts[pair_bad]
         rights = child_rights[pair_bad]
@@ -219,9 +262,15 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 def _ordered_sum(pos_chunks, val_chunks, rows):
     """Sum each component's panel contributions in ascending panel position
-    (pairwise, over a contiguous 1-D array); a float unless ``rows``."""
-    order = np.argsort(np.concatenate(pos_chunks), kind="stable")
-    val = np.concatenate(val_chunks, axis=1)[:, order]
+    (pairwise, over a contiguous 1-D array); a float unless ``rows``.
+
+    Each chunk holds one level's panels, already in ascending position, so
+    a single chunk is summed as it is."""
+    if len(val_chunks) == 1:
+        val = val_chunks[0]
+    else:
+        order = np.argsort(np.concatenate(pos_chunks), kind="stable")
+        val = np.concatenate(val_chunks, axis=1)[:, order]
     sums = [float(np.sum(component)) for component in val]
     return np.array(sums) if rows else sums[0]
 

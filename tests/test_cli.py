@@ -442,3 +442,87 @@ def test_only_curve_formats_the_uniform_phi_labels(tmp_path):
     assert main(["curve", "--sigma0", "1e-6",
                  "--out", str(tmp_path / "curve")]) == EXIT_OK
     assert labels.cache_info().currsize == 1
+
+
+# Full-precision values that table.csv rounds away: any last-bit change in
+# the quadrature shows here.
+COMPARE_1EM07 = {
+    "compare_modulus-total-current_sigma0_1em07.csv": """\
+theta_deg,p_plus,p_minus,p_plus_sc,delta
+34.947670000000009,0.99998974784608341,1.0252153916590068e-05,1,-1.0252153916590068e-05
+94.947670000000016,0.75002396573838759,0.24997603426161241,0.74999999999999989,2.3965738387698998e-05
+124.94767000000002,0.50003359233484246,0.49996640766515754,0.50000000000000011,3.3592334842347249e-05
+""",
+    "compare_modulus-schrodinger-current_sigma0_1em07.csv": """\
+theta_deg,p_plus,p_minus,p_plus_sc,delta
+34.947670000000009,0.99998974784608341,1.0252153916590068e-05,1,-1.0252153916590068e-05
+94.947670000000016,0.75002396573838759,0.24997603426161241,0.74999999999999989,2.3965738387698998e-05
+124.94767000000002,0.50003359233484246,0.49996640766515754,0.50000000000000011,3.3592334842347249e-05
+""",
+}
+
+
+def test_compare_bytes_pinned(tmp_path):
+    assert main(["compare", "--sigma0", "1e-7", "--out", str(tmp_path)]) \
+        == EXIT_OK
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert written == {name: text.encode()
+                       for name, text in COMPARE_1EM07.items()}
+
+
+CURVE_SUMMARIES = {
+    "I": {
+        "curve_sigma0_1em05_summary.txt": """\
+peak_phi_deg = 34.947669230292064
+variance_rad2 = 4.1340443058286414e-09
+truncated_tail_mass = 0
+""",
+        "curve_sigma0_1em06_summary.txt": """\
+peak_phi_deg = 34.947593032574552
+variance_rad2 = 4.0968796222151217e-07
+truncated_tail_mass = 0
+""",
+        "curve_sigma0_1em07_summary.txt": """\
+peak_phi_deg = 34.939976660037011
+variance_rad2 = 4.1004523247280738e-05
+truncated_tail_mass = 0
+""",
+        "curve_sigma0_1em08_summary.txt": """\
+peak_phi_deg = 34.210140662257125
+variance_rad2 = 0.0044964173108714475
+truncated_tail_mass = 3.8278544255857094e-18
+""",
+    },
+    "II": {
+        "curve_sigma0_1em05_summary.txt": """\
+peak_phi_deg = 69.895338460633624
+variance_rad2 = 1.6424564820650574e-08
+truncated_tail_mass = 0
+""",
+        "curve_sigma0_1em06_summary.txt": """\
+peak_phi_deg = 69.895186065760754
+variance_rad2 = 1.6387507327582189e-06
+truncated_tail_mass = 0
+""",
+        "curve_sigma0_1em07_summary.txt": """\
+peak_phi_deg = 69.879953322655012
+variance_rad2 = 0.00016401809297795708
+truncated_tail_mass = 0
+""",
+        "curve_sigma0_1em08_summary.txt": """\
+peak_phi_deg = 68.420281320646566
+variance_rad2 = 0.017985669243237232
+truncated_tail_mass = 7.9961047783153811e-15
+""",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(CURVE_SUMMARIES))
+def test_curve_summaries_pinned(tmp_path, preset):
+    assert main(["curve", "--preset", preset, "--out", str(tmp_path)]) \
+        == EXIT_OK
+    written = {path.name: path.read_bytes()
+               for path in tmp_path.glob("*_summary.txt")}
+    assert written == {name: text.encode()
+                       for name, text in CURVE_SUMMARIES[preset].items()}

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,3 +344,31 @@ def test_non_finite_between_nodes_raises_on_first_read(tmp_path, bad, read):
     with pytest.raises(ValidationError, match="not finite"):
         readers[read]()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_from_density_rejects_complex_values():
+    # a complex density used to be cast to float64 with only a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with pytest.raises(ValidationError, match="real"):
+            AngularDistribution.from_density(
+                lambda p: (1 + np.cos(p)).astype(complex))
+
+
+# Off-preset values that a last-bit change in the quadrature moves: each
+# of them moved when one matrix product served every panel batch of a call.
+def test_offpreset_total_scheme_tail_mass_pinned():
+    cfg = PhysicsConfig(B=2.13349098356089, d=0.6049972697861101,
+                        sigma0=2.4877924998702192e-09, u=733022.7665461152)
+    dist = pi_of_phi(cfg, TOTAL)
+    assert repr(dist.truncated_tail_mass) == "5.119988921955706e-10"
+
+
+def test_offpreset_schrodinger_scheme_p_plus_pinned():
+    cfg = PhysicsConfig(B=27.43631583577038, d=0.9726634427166251,
+                        sigma0=1.1908954545986922e-08, u=67102.8746550788)
+    with warnings.catch_warnings():
+        # most of this packet arrives beyond one turn, and pi_of_phi says so
+        warnings.filterwarnings("ignore", "discarded rotation-angle mass")
+        dist = pi_of_phi(cfg, SCH)
+    assert repr(measure(dist, peak_phi(dist)).p_plus) == "0.827728617011757"

@@ -7,8 +7,8 @@ from physics_oracle import chi_of_phi, prob_plus
 
 from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     bracketing_hints, density_matrix, deviation_report,
-                    measure, pi_of_phi, quadrature, round_half_away,
-                    semiclassical_prediction)
+                    distribution, measure, pi_of_phi, quadrature,
+                    round_half_away, semiclassical_prediction)
 from qclock.distribution import TWO_PI
 from qclock.errors import DomainError
 
@@ -172,6 +172,30 @@ def test_one_integral_per_angle(dist_1e8, monkeypatch):
     assert len(calls) == 1
     density_matrix(dist_1e8)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0])
+@pytest.mark.parametrize("sigma0", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_kernel_calls_per_preset_cell(monkeypatch, d, sigma0):
+    # every preset integral is accepted at its first bisection, and the
+    # hint panels share their kernel call with that bisection
+    calls = []
+    original = distribution.exit_current_grid
+
+    def counting_kernel(cfg, t):
+        calls.append(np.asarray(t).size)
+        return original(cfg, t)
+
+    monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
+    cfg = PhysicsConfig(d=d, sigma0=sigma0)
+    dist = pi_of_phi(cfg, TOTAL)
+    # the norm pass, then one call per level of the tail integral: its
+    # mass is 0 above 1e-8 and is resolved at depth 2 (d=1) or 3 (d=2) there
+    tail_levels = {1.0: 2, 2.0: 3}[d] if sigma0 == 1e-8 else 1
+    assert len(calls) == 1 + tail_levels
+    calls.clear()
+    measure(dist, cfg.phi_peak)
+    assert len(calls) == 1
 
 
 def test_round_half_away():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,3 +201,56 @@ def test_every_component_must_converge():
 def test_wrong_integrand_shape_rejected():
     with pytest.raises(ValidationError, match=r"shape \(n,\) or \(k, n\)"):
         integrate(lambda x: np.ones((2, 2, x.size)), 0.0, 1.0)
+
+
+def counting(f):
+    """Wrap f so that every call records the number of abscissas it got."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return f(x)
+    return counted, sizes
+
+
+def levels_needed(f, **kwargs):
+    """Smallest max_depth at which the integral converges."""
+    for depth in range(1, 41):
+        try:
+            integrate_full(f, 0.0, 1.0, QuadratureSpec(max_depth=depth),
+                           **kwargs)
+        except ConvergenceError:
+            continue
+        return depth
+    raise AssertionError("no depth up to 40 converges")
+
+
+def test_first_bisection_accepted_in_one_call():
+    f, sizes = counting(np.exp)
+    res = integrate_full(f, 0.0, 1.0)
+    assert levels_needed(np.exp) == 1
+    # the initial panel and its two children share the call
+    assert sizes == [3 * 16]
+    assert res.n_evals == sum(sizes)
+
+
+@pytest.mark.parametrize("hints", [(), (0.25, 0.5, 0.61)])
+def test_one_call_per_level(hints):
+    def steep(x):
+        return np.stack((np.ones_like(x), np.sin(200.0 * x)))
+    depth = levels_needed(steep, split_hints=hints)
+    assert depth >= 3
+    f, sizes = counting(steep)
+    res = integrate_full(f, 0.0, 1.0, split_hints=hints, keep_nodes=True)
+    assert len(sizes) == depth
+    assert res.n_evals == sum(sizes)
+    assert res.nodes.size == 2 * 16 * res.n_panels
+
+
+def test_complex_integrand_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with pytest.raises(ValidationError, match="real"):
+            integrate(lambda x: np.stack((np.ones_like(x), np.cos(x),
+                                          np.sin(x))).astype(complex),
+                      0.0, 1.0)
