@@ -24,7 +24,7 @@ import numpy as np
 from .current import exit_current_grid
 from .errors import (AmbiguousPeakError, DegenerateDistributionError,
                      UnsupportedSchemeError, ValidationError)
-from .quadrature import QuadratureSpec, integrate, integrate_full
+from .quadrature import QuadratureSpec, hint_tuple, integrate, integrate_full
 from .wavepacket import PhysicsConfig, width
 
 TWO_PI = 2.0 * math.pi
@@ -106,10 +106,12 @@ class AngularDistribution:
         feature much narrower than the domain, not merely mark it: panels
         whose nodes all miss a spike evaluate to zero and get accepted as
         converged.  Use a ladder of points on both flanks (see
-        ``bracketing_hints``).
+        ``bracketing_hints``).  They are stored as a tuple of Python
+        floats, the key under which every pass over this distribution
+        finds its quadrature layout.
         """
         quad = quad or QuadratureSpec()
-        hints = tuple(split_hints)
+        hints = hint_tuple(split_hints)
 
         def nonnegative(phi):
             values = np.asarray(fn(phi))

@@ -47,12 +47,17 @@ def _first_moment(dist: AngularDistribution) -> complex:
     One adaptive pass over the stacked integrand [w, w*cos, w*sin]: the
     density w dominates both trigonometric rows, so panels are accepted
     against the mass row and C and S share its panels and evaluations.
+    The rows are filled in place (cos*w is w*cos to the bit).
     """
     fn = dist.density_fn
 
     def stacked(p):
         w = fn(p)
-        return np.stack((w, w * np.cos(p), w * np.sin(p)))
+        rows = np.empty((3, p.size), dtype=np.result_type(w, p))
+        rows[0] = w
+        np.multiply(np.cos(p, out=rows[1]), w, out=rows[1])
+        np.multiply(np.sin(p, out=rows[2]), w, out=rows[2])
+        return rows
 
     _mass, c, s = integrate(stacked, 0.0, TWO_PI, dist.quad, dist.split_hints)
     return complex(c, s)
@@ -71,8 +76,10 @@ def semiclassical_prediction(cfg: PhysicsConfig, theta: float) -> MeasurementRes
     """Reference prediction with every spin rotated by the packet peak's angle.
 
     All spins rotate by phi_peak = 2*omega*d/u, so the channel probabilities
-    are the pure-state cos^2/sin^2 half-angle laws.
+    are the pure-state cos^2/sin^2 half-angle laws.  theta must lie in
+    [0, 2*pi), as for ``measure``.
     """
+    _check_theta(theta)
     half = 0.5 * (theta - cfg.phi_peak)
     return MeasurementResult(theta=theta,
                              p_plus=math.cos(half) ** 2,

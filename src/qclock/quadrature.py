@@ -31,6 +31,16 @@ children.  An integral accepted at the first bisection therefore calls the
 integrand once.  The integrand must be elementwise: a point's value may not
 depend on which other points share the call.
 
+The layout of those first two levels (the hint panels, their children,
+their half-widths and the node array the integrand receives) depends only
+on (interval, hints, order), so it is built once per key and kept in a
+memo of at most 8 entries; every array in it is read-only, as is every
+node array an integrand receives.  The key's hints are the
+distribution's hints tuple (Python floats, normalised once when the
+distribution is built); other hint iterables are converted on every call.
+Deeper levels build their layouts with the same function, so one
+evaluation path serves every level.
+
 Determinism matters (output files must be byte-identical across runs), so
 panels are processed breadth-first in positional order and the accepted
 contributions of each component are summed in ascending position with
@@ -121,40 +131,109 @@ def _bisect(lefts, rights):
     return child_lefts, child_rights
 
 
-def _panel_values(f, order, *batches):
-    """Gauss-Legendre estimates for one or more panel batches, from one call
-    of f on all their nodes.
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where one integrand call evaluates: per panel batch its half-widths
+    and its (panels, order) Gauss-Legendre nodes, which are consecutive
+    views of ``flat``, the array the integrand receives."""
 
-    Each batch is a (lefts, rights) pair.  Returns one estimate array of
-    shape (k, panels) per batch, one node array of shape (panels, order)
-    per batch, and whether f returned k rows rather than one.  Each batch
-    gets its own ``vals @ w`` (see the module docstring).
+    halves: tuple
+    pts: tuple
+    flat: np.ndarray
+
+
+def _layout(order, *batches):
+    """The layout of one call over one or more (lefts, rights) batches."""
+    x, _w = _gauss_legendre(order)
+    flat = np.empty(sum(lefts.size for lefts, _rights in batches) * order)
+    halves, pts = [], []
+    start = 0
+    for lefts, rights in batches:
+        half = 0.5 * (rights - lefts)
+        p = flat[start:start + half.size * order].reshape(half.size, order)
+        np.add((0.5 * (rights + lefts))[:, None], half[:, None] * x[None, :],
+               out=p)
+        halves.append(half)
+        pts.append(p)
+        start += p.size
+    flat.flags.writeable = False  # what the integrand receives
+    return _Layout(tuple(halves), tuple(pts), flat)
+
+
+@lru_cache(maxsize=8)
+def _first_levels(a, b, hints, order):
+    """The hint panels, their children and the layout of the call that
+    evaluates both, for one (interval, hints, order); every array is
+    read-only, since later passes share it.
+
+    A distribution reuses at most three keys (its hinted interval, the
+    tail interval and the order+2 norm check), so a few entries suffice;
+    a preset cell's entry takes about 10 KB.
     """
-    x, w = _gauss_legendre(order)
-    halves = [0.5 * (rights - lefts) for lefts, rights in batches]
-    pts = [(0.5 * (rights + lefts))[:, None] + half[:, None] * x[None, :]
-           for (lefts, rights), half in zip(batches, halves)]
-    flat = np.concatenate([p.ravel() for p in pts])
-    raw = np.asarray(f(flat))
-    if np.iscomplexobj(raw):
+    edges = [a]
+    for h in sorted(set(hints)):
+        if a < h < b and h > edges[-1]:
+            edges.append(h)
+    edges.append(b)
+    lefts = np.asarray(edges[:-1], dtype=np.float64)
+    rights = np.asarray(edges[1:], dtype=np.float64)
+    child_lefts, child_rights = _bisect(lefts, rights)
+    layout = _layout(order, (lefts, rights), (child_lefts, child_rights))
+    for arr in (lefts, rights, child_lefts, child_rights, *layout.halves,
+                *layout.pts):
+        arr.flags.writeable = False
+    return lefts, rights, child_lefts, child_rights, layout
+
+
+def hint_tuple(split_hints: Iterable[float]) -> tuple:
+    """``split_hints`` as a tuple of Python floats, returned as it is when
+    it already is one; ``ValidationError`` for a hint that is no number."""
+    if type(split_hints) is tuple and all(type(h) is float
+                                          for h in split_hints):
+        return split_hints
+    try:
+        return tuple(float(h) for h in split_hints)
+    except (TypeError, ValueError) as exc:
         raise ValidationError(
-            f"integrand must return real values; got dtype {raw.dtype}")
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim not in (1, 2) or raw.shape[-1] != flat.size:
+            f"split_hints must be an iterable of real numbers: {exc}") from None
+
+
+def _panel_values(f, order, layout):
+    """Gauss-Legendre estimates for every panel batch of ``layout``, from
+    one call of f on ``layout.flat``.
+
+    Returns one estimate array of shape (k, panels) per batch, and whether
+    f returned k rows rather than one.  Each batch gets its own
+    ``vals @ w`` (see the module docstring).
+    """
+    _x, w = _gauss_legendre(order)
+    n = layout.flat.size
+    raw = np.asarray(f(layout.flat))
+    if raw.dtype != np.float64:
+        if np.iscomplexobj(raw):
+            raise ValidationError(
+                f"integrand must return real values; got dtype {raw.dtype}")
+        try:
+            raw = raw.astype(np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"integrand must return real numbers; got dtype {raw.dtype} "
+                f"({exc})") from None
+    if raw.ndim not in (1, 2) or raw.shape[-1] != n:
         raise ValidationError(
-            f"integrand must return shape (n,) or (k, n) for n={flat.size} "
+            f"integrand must return shape (n,) or (k, n) for n={n} "
             f"points; got {raw.shape}")
-    if not np.all(np.isfinite(raw)):
-        finite = np.isfinite(raw).reshape(-1, flat.size).all(axis=0)
-        bad = flat[~finite][0]
+    if not np.isfinite(raw).all():
+        finite = np.isfinite(raw).reshape(-1, n).all(axis=0)
+        bad = layout.flat[~finite][0]
         raise ValidationError(f"integrand returned a non-finite value near x={bad!r}")
     estimates = []
     start = 0
-    for half, p in zip(halves, pts):
+    for half, p in zip(layout.halves, layout.pts):
         vals = raw[..., start:start + p.size].reshape(-1, order)
         estimates.append(half * (vals @ w).reshape(-1, half.size))
         start += p.size
-    return estimates, pts, raw.ndim == 2
+    return estimates, raw.ndim == 2
 
 
 def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -169,10 +248,13 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     a point's value may not depend on which other points share the call,
     because the initial panels and their first bisection are evaluated in
     one call, and every later level in one call of its own.  An integral
-    accepted at depth d therefore calls f d times.  Each panel batch keeps
-    its own matrix product, since BLAS rounding depends on the batch.
-    ``split_hints`` lists interior abscissas (e.g. a known spike location)
-    at which the interval is pre-split before any adaptivity runs.
+    accepted at depth d therefore calls f d times.  The abscissa array f
+    receives is read-only.
+    Each panel batch keeps its own matrix product, since BLAS rounding
+    depends on the batch.  ``split_hints`` lists interior abscissas (e.g. a
+    known spike location) at which the interval is pre-split before any
+    adaptivity runs; a tuple of Python floats is used as it is, and any
+    other iterable is converted on every call.
 
     Raises ConvergenceError when panels remain unconverged at max_depth, or
     when more than MAX_LIVE_PANELS of them remain after any level; the
@@ -184,18 +266,11 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         raise ValidationError("need finite bounds with a < b")
     order = spec.panel_order
 
-    edges = [a]
-    for h in sorted(set(float(h) for h in split_hints)):
-        if a < h < b and h > edges[-1]:
-            edges.append(h)
-    edges.append(b)
-    lefts = np.asarray(edges[:-1], dtype=np.float64)
-    rights = np.asarray(edges[1:], dtype=np.float64)
-
-    child_lefts, child_rights = _bisect(lefts, rights)
-    (parent_vals, child_vals), (_, child_pts), rows = _panel_values(
-        f, order, (lefts, rights), (child_lefts, child_rights))
-    n_evals = (lefts.size + child_lefts.size) * order
+    lefts, rights, child_lefts, child_rights, first = _first_levels(
+        float(a), float(b), hint_tuple(split_hints), order)
+    (parent_vals, child_vals), rows = _panel_values(f, order, first)
+    child_pts = first.pts[1]
+    n_evals = first.flat.size
 
     acc_pos: list[np.ndarray] = []
     acc_val: list[np.ndarray] = []
@@ -207,22 +282,25 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     for depth in range(1, spec.max_depth + 1):
         if depth > 1:
             child_lefts, child_rights = _bisect(lefts, rights)
-            (child_vals,), (child_pts,), _ = _panel_values(
-                f, order, (child_lefts, child_rights))
-            n_evals += child_lefts.size * order
+            layout = _layout(order, (child_lefts, child_rights))
+            (child_vals,), _ = _panel_values(f, order, layout)
+            child_pts = layout.pts[0]
+            n_evals += layout.flat.size
 
         refined = child_vals[:, 0::2] + child_vals[:, 1::2]
         abs_refined = np.abs(refined[0])
         err = np.abs(refined - parent_vals).max(axis=0)
-        # negligible-contribution share of the global tolerance budget,
-        # from the absolute mass collected so far plus this level's view
-        share = spec.rel_tol * (acc_abs + float(abs_refined.sum())) \
-            / max(abs_refined.size, 1)
-        negligible = (abs_refined <= share) & (np.abs(parent_vals[0]) <= share)
-        ok = (err <= np.maximum(spec.rel_tol * abs_refined, ABS_FLOOR)) \
-            | negligible
+        ok = err <= np.maximum(spec.rel_tol * abs_refined, ABS_FLOOR)
+        all_ok = bool(ok.all())
+        if not all_ok:
+            # negligible-contribution share of the global tolerance budget,
+            # from the absolute mass collected so far plus this level's view
+            share = spec.rel_tol * (acc_abs + float(abs_refined.sum())) \
+                / max(abs_refined.size, 1)
+            ok |= (abs_refined <= share) & (np.abs(parent_vals[0]) <= share)
+            all_ok = bool(ok.all())
 
-        if ok.all():
+        if all_ok:
             acc_pos.append(lefts)
             acc_val.append(refined)
             acc_err += float(err.sum())
@@ -271,8 +349,10 @@ def _ordered_sum(pos_chunks, val_chunks, rows):
     else:
         order = np.argsort(np.concatenate(pos_chunks), kind="stable")
         val = np.concatenate(val_chunks, axis=1)[:, order]
-    sums = [float(np.sum(component)) for component in val]
-    return np.array(sums) if rows else sums[0]
+    # one reduction over C-contiguous rows sums each row as np.sum would;
+    # over Fortran-ordered rows (from column indexing) it would not
+    sums = np.ascontiguousarray(val).sum(axis=1)
+    return sums if rows else float(sums[0])
 
 
 def integrate(f, a, b, spec: QuadratureSpec | None = None,

@@ -9,6 +9,7 @@ throughout: cm, g, s, erg, gauss.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
@@ -53,7 +54,8 @@ class PhysicsConfig:
     """Physical constants plus rotator/packet parameters, one unit system.
 
     Defaults are the d=1 cm preset: u=3e5 cm/s, B=10 gauss, sigma0=1e-5 cm,
-    with the calibrated magnetic moment.  Construction validates positivity
+    with the calibrated magnetic moment.  Any real number (``bool`` aside)
+    is accepted and stored as a Python float.  Construction validates positivity
     of every field and the packet-fits-in-rotator guard (the packet width at
     the exit instant must stay below d/2).
     """
@@ -69,10 +71,17 @@ class PhysicsConfig:
     def __post_init__(self):
         for name in ("hbar", "m0", "mu", "sigma0", "u", "d", "B"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a number")
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be a real number, not "
+                                      f"{type(value).__name__}")
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValidationError(f"{name} is too large for a float") from None
             if not math.isfinite(value) or value <= 0.0:
                 raise ValidationError(f"{name} must be positive")
+            # stored as a float, so every numeric type writes the same bytes
+            object.__setattr__(self, name, value)
         if not math.isfinite(self.k) or self.k <= 0.0:
             raise ValidationError("derived wave number k = m0*u/hbar is not finite and positive")
         if not math.isfinite(self.omega) or self.omega <= 0.0:

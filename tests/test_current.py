@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
-
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from kernel_oracle import exit_current_reference
 from physics_oracle import (SpinState, _spin_term, bloch, current_general,
                             evolve, psi, rho)
 
-from qclock import PhysicsConfig, exit_current_grid, width
+from qclock import (ArrivalScheme, PhysicsConfig, QClockError,
+                    exit_current_grid, pi_of_phi, width)
+from qclock.cli import DEFAULT_SIGMA0_LADDER, PRESETS
 
 SET_I = PhysicsConfig()
 
@@ -138,3 +142,89 @@ def test_grid_kernel_flushes_far_tail_to_zero():
     jx, jz = exit_current_grid(SET_I, np.array([0.0, 1e-9, t_720]))
     assert np.all(jx == 0.0)
     assert np.all(jz == 0.0)
+
+
+PRESET_CELLS = [PhysicsConfig(d=d, sigma0=sigma0) for d in PRESETS.values()
+                for sigma0 in DEFAULT_SIGMA0_LADDER]
+
+
+def bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+def kernel_times(cfg, n, rng):
+    """n times: the peak's exit instant alone for n == 1; otherwise a
+    uniform sweep over four transit times (mostly flushed to zero), times
+    within the packet, and times on both sides of the -700 flush edge."""
+    t0 = cfg.transit_time
+    if n == 1:
+        return np.array([t0])
+    dt = width(cfg, t0).sigma_t / cfg.u
+    edge = math.sqrt(1400.0) * dt
+    k = n // 4
+    return np.concatenate([
+        np.linspace(0.0, 4.0 * t0, n - 3 * k),
+        t0 + dt * rng.uniform(-8.0, 8.0, k),
+        t0 - edge * (1.0 + rng.uniform(-1e-2, 1e-2, k)),
+        t0 + edge * (1.0 + rng.uniform(-1e-2, 1e-2, k)),
+    ])
+
+
+def assert_kernel_bits(cfg, rng):
+    for n in (1, 48, 768, 4608):
+        t = kernel_times(cfg, n, rng)
+        t_before = t.copy()
+        got = exit_current_grid(cfg, t)
+        want = exit_current_reference(cfg, t)
+        assert np.array_equal(bits(t), bits(t_before))  # t is never written
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == t.shape
+            assert np.array_equal(bits(g), bits(w))
+        if n >= 48:
+            # the flush region and the live region are both exercised
+            assert np.any(want[0] == 0.0) and np.any(want[0] != 0.0)
+
+
+@pytest.mark.parametrize("cfg", PRESET_CELLS,
+                         ids=[f"d{c.d:g}-s{c.sigma0:g}" for c in PRESET_CELLS])
+def test_kernel_bits_match_plain_expressions_on_presets(cfg):
+    assert_kernel_bits(cfg, np.random.default_rng(24))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(d=st.floats(0.1, 5.0), u=st.floats(4.0, 6.0).map(lambda e: 10.0 ** e),
+       B=st.floats(0.0, 2.0).map(lambda e: 10.0 ** e),
+       sigma0=st.floats(-9.0, -3.0).map(lambda e: 10.0 ** e))
+def test_kernel_bits_match_plain_expressions_on_drawn_configs(d, u, B, sigma0):
+    try:
+        cfg = PhysicsConfig(d=d, u=u, B=B, sigma0=sigma0)
+    except QClockError:
+        assume(False)
+    assert_kernel_bits(cfg, np.random.default_rng(25))
+
+
+@pytest.mark.parametrize("cfg", [PRESET_CELLS[0], PRESET_CELLS[-1]])
+def test_scalar_time_gives_numpy_scalars_with_the_same_bits(cfg):
+    for t in (cfg.transit_time, np.float64(0.5 * cfg.transit_time), 0.0,
+              3.0 * cfg.transit_time):
+        got = exit_current_grid(cfg, t)
+        want = exit_current_reference(cfg, t)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) is np.float64
+            assert bits(g) == bits(w)
+
+
+@pytest.mark.parametrize("scheme", [ArrivalScheme.MODULUS_TOTAL_CURRENT,
+                                    ArrivalScheme.MODULUS_SCHRODINGER_CURRENT])
+def test_scalar_phi_through_density_fn(scheme):
+    cfg = PhysicsConfig(sigma0=1e-7)
+    dist = pi_of_phi(cfg, scheme)
+    for phi in (cfg.phi_peak, cfg.phi_peak + 1e-4, 0.5, 0.0):
+        got = dist.density_fn(phi)
+        jx, jz = exit_current_reference(
+            cfg, np.asarray(phi, dtype=np.float64) / (2.0 * cfg.omega))
+        weight = np.hypot(jx, jz) \
+            if scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT else np.abs(jx)
+        want = np.asarray(weight) / dist.norm_constant
+        assert type(got) is type(want) is np.float64
+        assert bits(got) == bits(want)

@@ -372,3 +372,30 @@ def test_offpreset_schrodinger_scheme_p_plus_pinned():
         warnings.filterwarnings("ignore", "discarded rotation-angle mass")
         dist = pi_of_phi(cfg, SCH)
     assert repr(measure(dist, peak_phi(dist)).p_plus) == "0.827728617011757"
+
+
+def test_curve_bytes_do_not_depend_on_numeric_types(tmp_path):
+    configs = [
+        PhysicsConfig(d=1.0, u=3e5, B=10.0, sigma0=1e-5),
+        PhysicsConfig(d=np.float64(1.0), u=np.float64(3e5), B=np.float64(10.0),
+                      sigma0=np.float64(1e-5)),
+        PhysicsConfig(d=1, u=300000, B=10, sigma0=1e-5),
+    ]
+    texts = []
+    for i, cfg in enumerate(configs):
+        path = tmp_path / f"curve_{i}.csv"
+        write_distribution_csv(pi_of_phi(cfg, TOTAL), path)
+        texts.append(path.read_bytes())
+    assert b"# d_cm = 1.0\n" in texts[0]
+    assert texts[1] == texts[0]
+    assert texts[2] == texts[0]
+
+
+def test_from_density_stores_hints_as_python_floats():
+    dist = AngularDistribution.from_density(
+        lambda p: np.ones_like(p), split_hints=[np.float64(1.5), 2, np.array(3.0)])
+    assert dist.split_hints == (1.5, 2.0, 3.0)
+    assert all(type(h) is float for h in dist.split_hints)
+    with pytest.raises(ValidationError, match="split_hints"):
+        AngularDistribution.from_density(lambda p: np.ones_like(p),
+                                         split_hints=[[1.5]])

@@ -91,6 +91,14 @@ def test_semiclassical_prediction():
     assert res.p_minus == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [-0.1, TWO_PI, 10.0])
+def test_semiclassical_prediction_shares_the_theta_domain(dist_1e5, theta):
+    with pytest.raises(DomainError):
+        measure(dist_1e5, theta)
+    with pytest.raises(DomainError):
+        semiclassical_prediction(SET_I, theta)
+
+
 def test_density_matrix_of_spike_is_projector():
     center = 1.1
     w = density_matrix(narrow_spike_dist(center))

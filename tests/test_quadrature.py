@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qclock import QuadratureSpec, integrate, integrate_full
+from qclock import (ArrivalScheme, PhysicsConfig, QuadratureSpec, integrate,
+                    integrate_full, pi_of_phi, quadrature)
+from qclock.cli import RunConfig, run_curve, run_table
 from qclock.errors import ConvergenceError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -254,3 +260,165 @@ def test_complex_integrand_rejected():
             integrate(lambda x: np.stack((np.ones_like(x), np.cos(x),
                                           np.sin(x))).astype(complex),
                       0.0, 1.0)
+
+
+@pytest.mark.parametrize("output", [
+    lambda x: np.array([complex(v, 1.0) for v in x], dtype=object),
+    lambda x: np.array(["x"] * x.size, dtype=object),
+    lambda x: np.array(["x"] * x.size),
+], ids=["object-complex", "object-str", "unicode-str"])
+def test_non_numeric_integrand_rejected(output):
+    with pytest.raises(ValidationError, match="real"):
+        integrate(output, 0.0, 1.0)
+
+
+def test_object_array_of_floats_still_integrates():
+    value = integrate(lambda x: np.array(list(np.exp(x)), dtype=object),
+                      0.0, 1.0)
+    assert value == integrate(np.exp, 0.0, 1.0)
+
+
+def test_hints_of_any_real_type_give_the_float_result():
+    f = narrow_gaussian(SPIKE_WIDTH, SPIKE_CENTER)
+    expected = integrate(f, 0.0, TWO_PI, split_hints=tuple(SPIKE_HINTS))
+    # a list, numpy scalars and unhashable 0-d arrays are converted per call
+    for hints in (SPIKE_HINTS, [np.float64(h) for h in SPIKE_HINTS],
+                  [np.array(h) for h in SPIKE_HINTS], np.array(SPIKE_HINTS)):
+        assert integrate(f, 0.0, TWO_PI, split_hints=hints) == expected
+
+
+@pytest.mark.parametrize("hints", [[[0.5]], 0.5, ["half"], [1j]])
+def test_hints_that_are_not_numbers_rejected(hints):
+    with pytest.raises(ValidationError, match="split_hints"):
+        integrate(np.exp, 0.0, 1.0, split_hints=hints)
+
+
+@pytest.fixture
+def fresh_memo():
+    quadrature._first_levels.cache_clear()
+    return quadrature._first_levels
+
+
+def misses_hits(memo):
+    info = memo.cache_info()
+    return info.misses, info.hits
+
+
+def test_memo_keys_of_table_cells(fresh_memo, tmp_path):
+    # one cell: the hinted interval and the tail miss, the 3 angles hit
+    run_table(RunConfig(sigma0_ladder=(1e-7,), output_dir=tmp_path))
+    assert misses_hits(fresh_memo) == (2, 3)
+    # a second cell has new hints but shares the tail interval
+    run_table(RunConfig(sigma0_ladder=(1e-6,), output_dir=tmp_path))
+    assert misses_hits(fresh_memo) == (3, 7)
+
+
+def test_memo_keys_of_a_curve_cell(fresh_memo, tmp_path):
+    # the hinted interval, the tail and the order+2 norm check miss; the
+    # mean and variance passes reuse the hinted interval
+    run_curve(RunConfig(sigma0_ladder=(1e-7,), output_dir=tmp_path))
+    assert misses_hits(fresh_memo) == (3, 2)
+
+
+def test_memo_is_small():
+    assert quadrature._first_levels.cache_info().maxsize <= 8
+
+
+def test_no_memo_array_escapes(fresh_memo):
+    dist = pi_of_phi(PhysicsConfig(sigma0=1e-7),
+                     ArrivalScheme.MODULUS_TOTAL_CURRENT)
+    res = integrate_full(np.exp, 0.0, 1.0, keep_nodes=True)
+    entries = [fresh_memo(0.0, TWO_PI, dist.split_hints, dist.quad.panel_order),
+               fresh_memo(0.0, 1.0, (), QuadratureSpec().panel_order)]
+    assert misses_hits(fresh_memo)[1] == 2  # both were built by the passes
+    for lefts, rights, child_lefts, child_rights, layout in entries:
+        arrays = [lefts, rights, child_lefts, child_rights, layout.flat,
+                  *layout.halves, *layout.pts]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            for mine in (dist.nodes, res.nodes):
+                assert not np.shares_memory(mine, arr)
+    assert dist.nodes.flags.writeable and res.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        entries[0][4].flat[0] = 1.0
+
+
+# each case differs from the first in one part of the key: the hints, the
+# order, the interval's end or its start
+MEMO_HINTS = tuple(SPIKE_HINTS)
+MEMO_CASES = [(0.0, TWO_PI, MEMO_HINTS, 16),
+              (0.0, TWO_PI, tuple(h + 0.5 * SPIKE_WIDTH for h in MEMO_HINTS), 16),
+              (0.0, TWO_PI, MEMO_HINTS, 18),
+              (0.0, 1.2, MEMO_HINTS, 16),
+              (0.3, TWO_PI, MEMO_HINTS, 16)]
+
+_FRESH_SCRIPT = """
+import sys
+import numpy as np
+from qclock import QuadratureSpec, integrate_full
+a, b, order, *hints = map(float, sys.argv[1:])
+def f(x):
+    w = np.exp(-(x - 0.61) ** 2 / (2.0 * 1e-4 ** 2)) + 1e-3 * np.sin(7.0 * x)
+    return np.stack((np.abs(w), w * np.cos(x), w * np.sin(x)))
+res = integrate_full(f, a, b, QuadratureSpec(panel_order=int(order)),
+                     tuple(hints), keep_nodes=True)
+print(repr(res.value.tolist()), repr(res.error), res.n_evals, res.nodes.size)
+"""
+
+
+def memo_case_result(a, b, hints, order):
+    def f(x):
+        w = np.exp(-(x - 0.61) ** 2 / (2.0 * 1e-4 ** 2)) + 1e-3 * np.sin(7.0 * x)
+        return np.stack((np.abs(w), w * np.cos(x), w * np.sin(x)))
+    res = integrate_full(f, a, b, QuadratureSpec(panel_order=order), hints,
+                         keep_nodes=True)
+    return f"{res.value.tolist()!r} {res.error!r} {res.n_evals} {res.nodes.size}"
+
+
+def test_interleaved_memo_keys_give_fresh_process_values():
+    """Each case alone in a fresh interpreter gives the same bits as all
+    cases interleaved in this one, where the memo holds, shares and (with
+    two rounds of filler keys) evicts their layouts."""
+    env = dict(os.environ)
+    src = str(Path(quadrature.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    fresh = []
+    for a, b, hints, order in MEMO_CASES:
+        args = [repr(v) for v in (a, b, order, *hints)]
+        out = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT, *args],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        fresh.append(out.stdout.strip())
+
+    quadrature._first_levels.cache_clear()
+    for round_ in range(2):
+        for i in (0, 3, 1, 4, 2, 0, 2, 4, 3, 1):
+            assert memo_case_result(*MEMO_CASES[i]) == fresh[i]
+        for k in range(8):  # evict every case
+            integrate(np.exp, 0.0, 1.0 + k)
+
+
+@pytest.mark.parametrize("center", [0.61, 2.2])
+@pytest.mark.parametrize("k", [10.0, 90.0])
+def test_identical_rows_sum_like_one_row(center, k):
+    # no hints: the spike is found over several levels, so the accepted
+    # panels come in several chunks and are reordered before the row sums
+    def g(x):
+        return np.exp(-(x - center) ** 2 / 8e-6) + 1e-2 * np.sin(k * x) ** 2
+    one = integrate_full(g, 0.0, TWO_PI)
+    rows = integrate_full(lambda x: np.stack((g(x),) * 3), 0.0, TWO_PI)
+    assert one.n_panels > 8
+    assert rows.n_panels == one.n_panels
+    assert [r.hex() for r in rows.value.tolist()] == [one.value.hex()] * 3
+
+
+def test_integrand_receives_read_only_nodes_at_every_level():
+    seen = []
+
+    def steep(x):
+        seen.append(x.flags.writeable)
+        return np.sin(200.0 * x)
+    integrate(steep, 0.0, 1.0)
+    assert len(seen) >= 3 and not any(seen)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(lambda x: np.multiply(x, 2.0, out=x), 0.0, 1.0)

@@ -153,6 +153,26 @@ def test_config_rejects_nonpositive(field):
         PhysicsConfig(**{field: float("nan")})
 
 
+def test_config_accepts_any_real_number_as_a_float():
+    cfg = PhysicsConfig(u=np.float32(3e5), B=np.int64(10), d=1,
+                        sigma0=np.float64(1e-5))
+    for name in ("hbar", "m0", "mu", "sigma0", "u", "d", "B"):
+        assert type(getattr(cfg, name)) is float
+    assert (cfg.u, cfg.B, cfg.d, cfg.sigma0) == (3e5, 10.0, 1.0, 1e-5)
+    assert cfg == SET_I
+
+
+def test_config_refuses_an_int_too_large_for_a_float():
+    with pytest.raises(ValidationError, match="B is too large"):
+        PhysicsConfig(B=10 ** 400)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1.0", 1 + 0j, None])
+def test_config_refuses_non_real_values(value):
+    with pytest.raises(ValidationError, match="B must be a real number"):
+        PhysicsConfig(B=value)
+
+
 def test_config_validity_guard():
     # sigma0=1e-9 spreads past d/2 by the exit instant for the d=1 preset
     with pytest.raises(ValidationError, match="exit instant"):
