@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from ._g17 import WIDTH, format_g17
 from .current import exit_current_grid
 from .errors import (AmbiguousPeakError, DegenerateDistributionError,
                      UnsupportedSchemeError, ValidationError)
@@ -241,6 +242,13 @@ def peak_phi(dist: AngularDistribution) -> float:
     largest value, until the bracket is narrower than ``_PEAK_XTOL``.
     The bracket's midpoint is returned, so a maximum at 2*pi still gives
     an angle below 2*pi, which ``measure`` accepts.
+
+    Raises ``AmbiguousPeakError`` when the density has no positive
+    maximum, plateaus at it, or peaks at the last grid point while mass
+    beyond one turn was cut off (``truncated_tail_mass > 0``): that
+    maximum is the edge of the cut, not a feature of the density.  A
+    density given on [0, 2*pi] (``from_density``) cuts nothing off, so a
+    maximum at 2*pi is a peak there.
     """
     density = dist.density
     top = float(density.max())
@@ -252,6 +260,11 @@ def peak_phi(dist: AngularDistribution) -> float:
         raise AmbiguousPeakError(
             f"density plateaus within 1e-12 of its maximum over {span:.3e} rad")
     i = int(np.argmax(density))
+    if i == density.size - 1 and dist.truncated_tail_mass > 0.0:
+        raise AmbiguousPeakError(
+            "density is largest at the 2*pi cut and "
+            f"{dist.truncated_tail_mass:.3e} of its mass lies beyond one "
+            "turn; the maximum is an edge of the cut, not a peak")
     lo = dist.grid[max(i - 1, 0)]
     hi = dist.grid[min(i + 1, dist.grid.size - 1)]
     while hi - lo > _PEAK_XTOL:
@@ -278,14 +291,20 @@ def variance_phi(dist: AngularDistribution) -> float:
 def write_distribution_csv(dist: AngularDistribution, path) -> None:
     """Two-column CSV (phi_rad, density_per_rad) with a comment header.
 
-    Each row holds ``f"{phi:.17g},{density:.17g}"`` of one grid point, but
-    only the values that differ between distributions are formatted
-    fresh: the quadrature nodes and every density other than +0.0.  The
-    labels of the 4096 uniform grid points are formatted on the first
-    write in a process and then reused, and a +0.0 density (the kernel
-    flushes most of the grid to it) is written as ``0``; a -0.0 density
-    is formatted, so it still reads ``-0``.  The bytes are those of
-    formatting every row.
+    Each row holds ``f"{phi:.17g},{density:.17g}"`` of one grid point.
+    The body is one (rows, 50) byte array: two 24-byte fields from
+    ``format_g17``, a comma and a newline, written without its NUL
+    filler.  Only the values that differ between distributions are
+    formatted: the quadrature nodes and every density other than +0.0.
+    The labels of the 4096 uniform grid points are formatted on the
+    first write in a process and then reused, and a +0.0 density (the
+    kernel flushes most of the grid to it) is written as ``0``; a -0.0
+    density is formatted, so it still reads ``-0``.
+
+    ``format_g17`` is exact: its scaled digits carry an error below
+    1e-14, and a value within 1e-6 of a rounding tie at the 17th digit is
+    formatted by CPython instead.  The bytes are therefore those of
+    formatting every row with ``%.17g``.
     """
     lines = []
     for key, val in dist.meta.items():
@@ -293,50 +312,58 @@ def write_distribution_csv(dist: AngularDistribution, path) -> None:
     lines.append(f"# norm_check = {dist.norm_check!r}")
     lines.append(f"# truncated_tail_mass = {dist.truncated_tail_mass!r}")
     lines.append("phi_rad,density_per_rad")
-    density = dist.density
-    fields = np.empty((density.size, 2), dtype=object)
-    fields[:, 0] = _phi_fields(dist.grid)
-    fields[:, 1] = "0\n"
+    header = ("\n".join(lines) + "\n").encode()
+    # the array is freed before the NULs go, which keeps a write's peak
+    # memory below that of formatting each row
+    _write_atomic(path, header, _curve_body(dist).translate(None, b"\0"))
+
+
+def _curve_body(dist: AngularDistribution) -> bytes:
+    """The bytes of the curve body's (rows, 50) array, NUL filler included."""
+    grid, density = dist.grid, dist.density
+    uniform, labels = _uniform_phi_labels()
+    # a label is reused only where the grid holds exactly the uniform
+    # point nearest to it; a -0.0 equals 0.0 but formats as ``-0``, so it
+    # is formatted
+    nearest = np.rint(grid * ((_GRID_POINTS - 1) / TWO_PI)).astype(np.intp)
+    fresh_phi = uniform[nearest] != grid
+    fresh_phi |= np.signbit(grid)
     fresh = (density != 0.0) | np.signbit(density)
-    fields[fresh, 1] = [f"{x:.17g}\n" for x in density[fresh].tolist()]
-    write_text_atomic(path, "\n".join(lines) + "\n"
-                      + "".join(fields.ravel().tolist()))
+    rows = format_g17(np.concatenate((grid[fresh_phi], density[fresh])))
+    split = np.count_nonzero(fresh_phi)
+    body = np.zeros((grid.size, 2 * WIDTH + 2), dtype=np.uint8)
+    body[:, :WIDTH] = labels.take(nearest, axis=0)
+    body[fresh_phi, :WIDTH] = rows[:split]
+    body[:, WIDTH] = ord(",")
+    body[:, WIDTH + 1] = ord("0")
+    body[fresh, WIDTH + 1:-1] = rows[split:]
+    body[:, -1] = ord("\n")
+    return body.tobytes()
 
 
 @lru_cache(maxsize=1)
 def _uniform_phi_labels() -> tuple[np.ndarray, np.ndarray]:
-    """The uniform grid points and their CSV fields ``f"{phi:.17g},"``."""
+    """The uniform grid points and their ``format_g17`` rows."""
     uniform = _uniform_grid()
-    labels = np.array([f"{x:.17g}," for x in uniform.tolist()], dtype=object)
+    labels = format_g17(uniform)
     # every write shares these arrays
     uniform.flags.writeable = labels.flags.writeable = False
     return uniform, labels
 
 
-def _phi_fields(grid: np.ndarray) -> np.ndarray:
-    """``f"{phi:.17g},"`` for every grid point, reusing the uniform labels.
-
-    A label is reused only where the grid holds exactly that uniform
-    point; a -0.0 equals 0.0 but formats as ``-0``, so it is formatted.
-    """
-    uniform, labels = _uniform_phi_labels()
-    at = np.minimum(np.searchsorted(grid, uniform), grid.size - 1)
-    hit = (grid[at] == uniform) & ~np.signbit(grid[at])
-    fields = np.empty(grid.size, dtype=object)
-    fresh = np.ones(grid.size, dtype=bool)
-    fields[at[hit]] = labels[hit]
-    fresh[at[hit]] = False
-    fields[fresh] = [f"{x:.17g}," for x in grid[fresh].tolist()]
-    return fields
-
-
 def write_text_atomic(path, text: str) -> None:
     """Write atomically: a failure never leaves a partial output file."""
+    _write_atomic(path, text.encode("utf-8"))
+
+
+def _write_atomic(path, *chunks: bytes) -> None:
+    """Write the chunks, in order, as one file, atomically."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -175,6 +175,19 @@ def test_exit_code_convergence(tmp_path, capsys):
         assert not (tmp_path / "table.csv").exists()
 
 
+def test_curve_refuses_a_peak_at_the_cut(tmp_path, capsys):
+    # the density still rises at one full turn and nearly all of its mass
+    # lies beyond it: its largest value on the grid is not a peak
+    cfgfile = tmp_path / "rising.cfg"
+    cfgfile.write_text("d = 3.353\nu = 4.22e4\nB = 36.4\nsigma0 = 2.26e-8\n")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="discarded rotation-angle mass"):
+        code = main(["curve", "--config", str(cfgfile), "--out", str(out)])
+    assert code == 1
+    assert "2*pi cut" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_table_single_cell(tmp_path, capsys):
     theta = f"{34.94767:.5f}"
     code = main(["table", "--sigma0", "1e-5", "--theta-deg", theta,

@@ -193,8 +193,32 @@ def test_csv_bytes_match_row_by_row_formatting(tmp_path, preset, scheme):
     for sigma0 in DEFAULT_SIGMA0_LADDER:
         dist = pi_of_phi(PhysicsConfig(d=PRESETS[preset], sigma0=sigma0),
                          scheme)
+        if sigma0 == 1e-8:
+            # the dense curves: nearly every density is formatted
+            assert np.count_nonzero(dist.density) > 4000
         write_distribution_csv(dist, path)
         assert path.read_bytes() == row_by_row_csv(dist).encode()
+
+
+# the off-preset configs pinned below, with the scheme each is pinned under
+OFFPRESET_TAIL_CFG = PhysicsConfig(B=2.13349098356089, d=0.6049972697861101,
+                                   sigma0=2.4877924998702192e-09,
+                                   u=733022.7665461152)
+OFFPRESET_P_PLUS_CFG = PhysicsConfig(B=27.43631583577038, d=0.9726634427166251,
+                                     sigma0=1.1908954545986922e-08,
+                                     u=67102.8746550788)
+
+
+@pytest.mark.parametrize("cfg, scheme", [(OFFPRESET_TAIL_CFG, TOTAL),
+                                         (OFFPRESET_P_PLUS_CFG, SCH)],
+                         ids=["tail", "p-plus"])
+def test_csv_bytes_of_offpreset_curves(tmp_path, cfg, scheme):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "discarded rotation-angle mass")
+        dist = pi_of_phi(cfg, scheme)
+    path = tmp_path / "curve.csv"
+    write_distribution_csv(dist, path)
+    assert path.read_bytes() == row_by_row_csv(dist).encode()
 
 
 def test_csv_bytes_keep_signed_zero_density(tmp_path):
@@ -206,7 +230,7 @@ def test_csv_bytes_keep_signed_zero_density(tmp_path):
     path = tmp_path / "curve.csv"
     write_distribution_csv(dist, path)
     assert path.read_bytes() == row_by_row_csv(dist).encode()
-    assert "\n0,-0\n" in path.read_text()
+    assert "\nphi_rad,density_per_rad\n0,-0\n" in path.read_text()
 
 
 def test_csv_bytes_keep_tiny_density(tmp_path):
@@ -256,6 +280,21 @@ def test_peak_at_domain_end(center):
     peak = peak_phi(dist)
     assert peak == pytest.approx(center, abs=1e-12)
     assert measure(dist, peak).p_plus == pytest.approx(1.0, abs=1e-9)
+
+
+#: A packet so slow that its density still rises at one full turn; nearly
+#: all of its mass arrives later and is cut off.
+RISING_AT_THE_CUT = PhysicsConfig(d=3.353, u=4.22e4, B=36.4, sigma0=2.26e-8)
+
+
+def test_peak_at_the_cut_with_mass_beyond_it_is_ambiguous():
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "discarded rotation-angle mass")
+        dist = pi_of_phi(RISING_AT_THE_CUT, TOTAL)
+    assert int(np.argmax(dist.density)) == dist.grid.size - 1
+    assert dist.truncated_tail_mass > 0.0
+    with pytest.raises(AmbiguousPeakError, match="2\\*pi cut"):
+        peak_phi(dist)
 
 
 @pytest.mark.parametrize("d", [1.0, 2.0])
@@ -358,19 +397,15 @@ def test_from_density_rejects_complex_values():
 # Off-preset values that a last-bit change in the quadrature moves: each
 # of them moved when one matrix product served every panel batch of a call.
 def test_offpreset_total_scheme_tail_mass_pinned():
-    cfg = PhysicsConfig(B=2.13349098356089, d=0.6049972697861101,
-                        sigma0=2.4877924998702192e-09, u=733022.7665461152)
-    dist = pi_of_phi(cfg, TOTAL)
+    dist = pi_of_phi(OFFPRESET_TAIL_CFG, TOTAL)
     assert repr(dist.truncated_tail_mass) == "5.119988921955706e-10"
 
 
 def test_offpreset_schrodinger_scheme_p_plus_pinned():
-    cfg = PhysicsConfig(B=27.43631583577038, d=0.9726634427166251,
-                        sigma0=1.1908954545986922e-08, u=67102.8746550788)
     with warnings.catch_warnings():
         # most of this packet arrives beyond one turn, and pi_of_phi says so
         warnings.filterwarnings("ignore", "discarded rotation-angle mass")
-        dist = pi_of_phi(cfg, SCH)
+        dist = pi_of_phi(OFFPRESET_P_PLUS_CFG, SCH)
     assert repr(measure(dist, peak_phi(dist)).p_plus) == "0.827728617011757"
 
 
