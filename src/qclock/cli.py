@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +25,7 @@ from .distribution import (ArrivalScheme, peak_phi, pi_of_phi, variance_phi,
 from .distribution import write_text_atomic as _write_text
 from .errors import (ConfigParseError, ConvergenceError,
                      DegenerateDistributionError, DomainError, QClockError,
-                     UnsupportedSchemeError, ValidationError)
+                     UnsupportedSchemeError, ValidationError, as_number)
 from .measurement import (deviation_report, measure, round_half_away,
                           write_deviation_csv)
 from .quadrature import QuadratureSpec
@@ -44,6 +44,7 @@ DEFAULT_SIGMA0_LADDER = (1e-5, 1e-6, 1e-7, 1e-8)
 PRESETS = {"I": 1.0, "II": 2.0}
 
 _PHYSICS_KEYS = ("hbar", "m0", "mu", "u", "d", "B")
+_QUAD_KEYS = ("rel_tol", "panel_order", "max_depth")
 
 
 def default_thetas_deg(physics: PhysicsConfig) -> tuple[float, ...]:
@@ -55,7 +56,11 @@ def default_thetas_deg(physics: PhysicsConfig) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs: physics, scheme, sweep axes, output."""
+    """Everything one invocation needs: physics, scheme, sweep axes, output.
+
+    ``physics`` is stored with the ladder's first sigma0, and every sigma0
+    and angle as a Python float, so equal runs compare and serialize equal.
+    """
 
     physics: PhysicsConfig = PhysicsConfig()
     scheme: ArrivalScheme = ArrivalScheme.MODULUS_TOTAL_CURRENT
@@ -63,47 +68,32 @@ class RunConfig:
     sigma0_ladder: tuple[float, ...] = DEFAULT_SIGMA0_LADDER
     quad: QuadratureSpec = QuadratureSpec()
     output_dir: Path = Path(".")
-    thetas_are_default: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         if not self.sigma0_ladder:
             raise ValidationError("sigma0_ladder must not be empty")
-        for s0 in self.sigma0_ladder:
-            replace(self.physics, sigma0=s0)  # runs the validity guard
-        for theta in self.thetas_deg:
+        # each cell's physics runs the validity guard on its sigma0
+        cells = [self.physics_for(s0) for s0 in self.sigma0_ladder]
+        thetas = tuple(as_number("thetas_deg", t) for t in self.thetas_deg)
+        for theta in thetas:
             if not 0.0 <= theta < 360.0:
                 raise ValidationError(
                     f"thetas_deg must lie in [0, 360); got {theta!r}")
+        object.__setattr__(self, "physics", cells[0])
+        object.__setattr__(self, "sigma0_ladder",
+                           tuple(cell.sigma0 for cell in cells))
+        object.__setattr__(self, "thetas_deg", thetas)
 
     def physics_for(self, sigma0: float) -> PhysicsConfig:
         return replace(self.physics, sigma0=sigma0)
 
 
-def _with_physics(cfg: RunConfig, physics: PhysicsConfig) -> RunConfig:
-    thetas = default_thetas_deg(physics) if cfg.thetas_are_default \
-        else cfg.thetas_deg
-    return replace(cfg, physics=physics, thetas_deg=thetas)
-
-
-def apply_preset(cfg: RunConfig, name: str) -> RunConfig:
-    if name not in PRESETS:
-        raise ValidationError(f"unknown preset {name!r}; choose I or II")
-    return _with_physics(cfg, replace(cfg.physics, d=PRESETS[name]))
-
-
-def _parse_float(raw: str, key: str, line_no: int) -> float:
+def _parse_number(raw: str, key: str, line_no: int, kind=float):
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigParseError(f"value for {key!r} is not a number: {raw!r}",
-                               line=line_no) from None
-
-
-def _parse_int(raw: str, key: str, line_no: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigParseError(f"value for {key!r} is not an integer: {raw!r}",
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigParseError(f"value for {key!r} is not {noun}: {raw!r}",
                                line=line_no) from None
 
 
@@ -111,30 +101,13 @@ def _parse_float_list(raw: str, key: str, line_no: int) -> tuple[float, ...]:
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
     if not items:
         raise ConfigParseError(f"{key!r} needs at least one value", line=line_no)
-    return tuple(_parse_float(item, key, line_no) for item in items)
+    return tuple(_parse_number(item, key, line_no) for item in items)
 
 
-def parse_config(text: str, base: RunConfig | None = None, *,
-                 allow_scheme: bool = True) -> RunConfig:
-    """Parse a key=value document into a validated RunConfig.
-
-    Unknown keys are rejected with their line number.  Omitted keys keep
-    the base (default: the d=1 cm preset with its standard sweep axes).
-    ``allow_scheme=False`` rejects a ``scheme`` key the same way, for a
-    command that would ignore it.
-    """
-    cfg = base if base is not None else RunConfig()
-    physics_kwargs = {k: getattr(cfg.physics, k) for k in _PHYSICS_KEYS}
-    physics_kwargs["sigma0"] = cfg.physics.sigma0
-    scheme = cfg.scheme
-    thetas = cfg.thetas_deg
-    thetas_default = cfg.thetas_are_default
-    ladder = cfg.sigma0_ladder
-    quad_kwargs = {"rel_tol": cfg.quad.rel_tol,
-                   "panel_order": cfg.quad.panel_order,
-                   "max_depth": cfg.quad.max_depth}
-    out_dir = cfg.output_dir
-
+def _read_config(text: str, allow_scheme: bool) -> dict:
+    """The typed settings of a key=value document, in document order;
+    ``preset = X`` sets ``d``."""
+    settings = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -152,42 +125,53 @@ def parse_config(text: str, base: RunConfig | None = None, *,
             if value not in PRESETS:
                 raise ConfigParseError(f"unknown preset {value!r}; choose I or II",
                                        line=line_no)
-            physics_kwargs["d"] = PRESETS[value]
-        elif key in _PHYSICS_KEYS:
-            physics_kwargs[key] = _parse_float(value, key, line_no)
-        elif key == "sigma0":
-            values = _parse_float_list(value, key, line_no)
-            physics_kwargs["sigma0"] = values[0]
-            ladder = values
-        elif key == "thetas_deg":
-            thetas = _parse_float_list(value, key, line_no)
-            thetas_default = False
+            settings["d"] = PRESETS[value]
+        elif key in _PHYSICS_KEYS or key == "rel_tol":
+            settings[key] = _parse_number(value, key, line_no)
+        elif key in ("sigma0", "thetas_deg"):
+            settings[key] = _parse_float_list(value, key, line_no)
         elif key == "scheme":
             if not allow_scheme:
                 raise ConfigParseError(
                     "compare writes both current schemes; remove the "
                     "'scheme' key", line=line_no)
             try:
-                scheme = ArrivalScheme.from_name(value)
+                settings[key] = ArrivalScheme.from_name(value)
             except ValidationError as exc:
                 raise ConfigParseError(str(exc), line=line_no) from None
-        elif key == "rel_tol":
-            quad_kwargs["rel_tol"] = _parse_float(value, key, line_no)
-        elif key == "panel_order":
-            quad_kwargs["panel_order"] = _parse_int(value, key, line_no)
-        elif key == "max_depth":
-            quad_kwargs["max_depth"] = _parse_int(value, key, line_no)
+        elif key in ("panel_order", "max_depth"):
+            settings[key] = _parse_number(value, key, line_no, int)
         elif key == "out":
-            out_dir = Path(value)
+            settings[key] = Path(value)
         else:
             raise ConfigParseError(f"unknown key {key!r}", line=line_no)
+    return settings
 
-    physics = PhysicsConfig(**physics_kwargs)
-    if thetas_default:
-        thetas = default_thetas_deg(physics)
-    return RunConfig(physics=physics, scheme=scheme, thetas_deg=thetas,
-                     sigma0_ladder=ladder, quad=QuadratureSpec(**quad_kwargs),
-                     output_dir=out_dir, thetas_are_default=thetas_default)
+
+def _build(settings: dict) -> RunConfig:
+    """The validated RunConfig of merged settings; omitted keys keep the
+    d=1 cm preset and its standard ladder, and omitted analyzer angles
+    follow the final physics."""
+    ladder = settings.get("sigma0", DEFAULT_SIGMA0_LADDER)
+    physics = PhysicsConfig(sigma0=ladder[0], **{
+        key: settings[key] for key in _PHYSICS_KEYS if key in settings})
+    quad = QuadratureSpec(**{key: settings[key] for key in _QUAD_KEYS
+                             if key in settings})
+    thetas = settings.get("thetas_deg") or default_thetas_deg(physics)
+    return RunConfig(
+        physics=physics, quad=quad, thetas_deg=thetas, sigma0_ladder=ladder,
+        scheme=settings.get("scheme", ArrivalScheme.MODULUS_TOTAL_CURRENT),
+        output_dir=settings.get("out", Path(".")))
+
+
+def parse_config(text: str, *, allow_scheme: bool = True) -> RunConfig:
+    """Parse a key=value document into a validated RunConfig.
+
+    Unknown keys are rejected with their line number.  Omitted keys keep
+    the d=1 cm preset with its standard sweep axes.  ``allow_scheme=False``
+    rejects a ``scheme`` key the same way, for a command that would ignore it.
+    """
+    return _build(_read_config(text, allow_scheme))
 
 
 def serialize(cfg: RunConfig) -> str:
@@ -352,27 +336,19 @@ def _add_common_flags(parser: argparse.ArgumentParser,
 
 
 def _assemble(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.preset:
-        cfg = apply_preset(cfg, args.preset)
+    """One RunConfig from --preset, then --config, then the other flags;
+    a later source wins, and only the merged settings are validated."""
+    settings = {"d": PRESETS[args.preset]} if args.preset else {}
     if args.config is not None:
         # compare writes both current schemes and has no --scheme flag either
-        cfg = parse_config(args.config.read_text(encoding="utf-8"), base=cfg,
-                           allow_scheme=args.command != "compare")
-    if args.sigma0:
-        physics = replace(cfg.physics, sigma0=args.sigma0[0])
-        cfg = replace(_with_physics(cfg, physics),
-                      sigma0_ladder=tuple(args.sigma0))
-    if args.theta_deg:
-        cfg = replace(cfg, thetas_deg=tuple(args.theta_deg),
-                      thetas_are_default=False)
-    if args.scheme:
-        cfg = replace(cfg, scheme=ArrivalScheme.from_name(args.scheme))
-    if args.rel_tol is not None:
-        cfg = replace(cfg, quad=replace(cfg.quad, rel_tol=args.rel_tol))
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    return cfg
+        settings.update(_read_config(args.config.read_text(encoding="utf-8"),
+                                     allow_scheme=args.command != "compare"))
+    flags = {"sigma0": args.sigma0, "thetas_deg": args.theta_deg,
+             "scheme": args.scheme and ArrivalScheme.from_name(args.scheme),
+             "rel_tol": args.rel_tol, "out": args.out}
+    settings.update((key, value) for key, value in flags.items()
+                    if value is not None)
+    return _build(settings)
 
 
 @lru_cache(maxsize=None)

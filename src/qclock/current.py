@@ -33,11 +33,8 @@ def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):
     ``t`` gives numpy scalars.
     """
     t = np.asarray(t, dtype=np.float64)
-    # numpy's in-place ufuncs take a slow path on one-element arrays, so a
-    # single time (a scalar included) is evaluated as a pair of copies
-    single = t.shape if t.size == 1 else None
-    if single is not None:
-        t = np.full(2, t.item())
+    shape = t.shape
+    t = t.reshape(-1)
     d, u, sigma0, hbar, m0 = cfg.d, cfg.u, cfg.sigma0, cfg.hbar, cfg.m0
     c_spread = hbar / (2.0 * m0 * sigma0 * sigma0)
     # sigma_t2 = (sigma0 * sigma0) * (1.0 + spread * spread),
@@ -82,8 +79,4 @@ def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):
     np.multiply(2.0 * cfg.omega, t, out=denom)
     np.sin(denom, out=denom)
     np.multiply(jz, denom, out=jz)
-    if single == ():
-        return jx[0], jz[0]
-    if single is not None:
-        return jx[:1].reshape(single), jz[:1].reshape(single)
-    return jx, jz
+    return jx.reshape(shape)[()], jz.reshape(shape)[()]

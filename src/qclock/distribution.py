@@ -168,9 +168,9 @@ def _check_nonnegative(values: np.ndarray) -> None:
 _BRACKET_SCALES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
-def bracketing_hints(center: float, width: float,
-                     lo: float = 0.0, hi: float = TWO_PI) -> tuple:
-    """Split points that bracket a spike of the given width at both flanks.
+def bracketing_hints(center: float, width: float) -> tuple:
+    """Split points inside (0, 2*pi) that bracket a spike of the given width
+    at both flanks.
 
     Ensures the panels covering the spike core are about one width wide, so
     quadrature nodes actually land inside the feature instead of straddling
@@ -180,7 +180,7 @@ def bracketing_hints(center: float, width: float,
     for scale in _BRACKET_SCALES:
         points.append(center - scale * width)
         points.append(center + scale * width)
-    return tuple(sorted(p for p in points if lo < p < hi))
+    return tuple(sorted(p for p in points if 0.0 < p < TWO_PI))
 
 
 def _scheme_weight(cfg: PhysicsConfig, scheme: ArrivalScheme):

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all qclock modules."""
+"""Exception hierarchy shared by all qclock modules, and the number check
+every validated config field goes through."""
+
+import numbers
 
 
 class QClockError(Exception):
@@ -47,3 +50,21 @@ class ConfigParseError(QClockError, ValueError):
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+def as_number(name, value, kind=numbers.Real):
+    """``value`` as a Python float, or as an int when ``kind`` is
+    ``numbers.Integral``, so that every numeric type writes the same bytes.
+
+    ``bool`` and anything that is not a ``kind`` raise ValidationError.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValidationError(
+            f"{name} must be {noun}, not {type(value).__name__}")
+    if kind is numbers.Integral:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None

@@ -53,13 +53,14 @@ bits.  No randomness, no dict-order dependence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, as_number
 
 #: A panel is accepted when |refined - parent| <= max(rel_tol*|refined|, floor).
 #: The floor keeps panels that straddle the density's flush-to-zero cutoff
@@ -79,22 +80,31 @@ MAX_LIVE_PANELS = 4096
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and panel parameters for the adaptive integrator."""
+    """Tolerance and panel parameters for the adaptive integrator.
+
+    Any real ``rel_tol`` and any integral order and depth (``bool`` aside)
+    are accepted, and stored as a Python float and Python ints: the layout
+    memo is keyed by ``panel_order``.
+    """
 
     rel_tol: float = 1e-10
     panel_order: int = 16
     max_depth: int = 40
 
     def __post_init__(self):
-        if not (isinstance(self.rel_tol, float) and math.isfinite(self.rel_tol)
-                and self.rel_tol > 0.0):
+        rel_tol = as_number("rel_tol", self.rel_tol)
+        if not (math.isfinite(rel_tol) and rel_tol > 0.0):
             raise ValidationError("rel_tol must be a positive finite float")
-        if not (isinstance(self.panel_order, int)
-                and 8 <= self.panel_order <= MAX_PANEL_ORDER):
+        order = as_number("panel_order", self.panel_order, numbers.Integral)
+        if not 8 <= order <= MAX_PANEL_ORDER:
             raise ValidationError(
                 f"panel_order must be an integer in [8, {MAX_PANEL_ORDER}]")
-        if not (isinstance(self.max_depth, int) and self.max_depth >= 1):
+        depth = as_number("max_depth", self.max_depth, numbers.Integral)
+        if depth < 1:
             raise ValidationError("max_depth must be an integer >= 1")
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "panel_order", order)
+        object.__setattr__(self, "max_depth", depth)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,10 +9,9 @@ throughout: cm, g, s, erg, gauss.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, as_number
 
 #: Reduced Planck constant, erg s (CODATA 2018, exact SI definition).
 HBAR = 1.054571817e-27
@@ -70,17 +69,9 @@ class PhysicsConfig:
 
     def __post_init__(self):
         for name in ("hbar", "m0", "mu", "sigma0", "u", "d", "B"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a real number, not "
-                                      f"{type(value).__name__}")
-            try:
-                value = float(value)
-            except OverflowError:
-                raise ValidationError(f"{name} is too large for a float") from None
+            value = as_number(name, getattr(self, name))
             if not math.isfinite(value) or value <= 0.0:
                 raise ValidationError(f"{name} must be positive")
-            # stored as a float, so every numeric type writes the same bytes
             object.__setattr__(self, name, value)
         if not math.isfinite(self.k) or self.k <= 0.0:
             raise ValidationError("derived wave number k = m0*u/hbar is not finite and positive")

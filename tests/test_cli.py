@@ -1,12 +1,15 @@
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qclock import cli, distribution
+from qclock import PhysicsConfig, cli, distribution
 from qclock.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE,
-                        EXIT_VALIDATION, RunConfig, apply_preset, main,
-                        parse_config, run_table, serialize)
+                        EXIT_VALIDATION, RunConfig, default_thetas_deg, main,
+                        parse_config, run_curve, run_table, serialize)
 from qclock.distribution import ArrivalScheme
 from qclock.errors import ConfigParseError, ConvergenceError, ValidationError
 from qclock.quadrature import QuadratureSpec
@@ -110,11 +113,47 @@ def test_round_trip_defaults():
     assert parse_config(serialize(cfg)) == cfg
 
 
+def test_round_trip_of_a_constructed_ladder():
+    # the run's physics carries the ladder's first sigma0, however built
+    cfg = RunConfig(sigma0_ladder=(1e-6,))
+    assert cfg.physics.sigma0 == 1e-6
+    assert cfg == parse_config("sigma0 = 1e-6")
+    assert parse_config(serialize(cfg)) == cfg
+
+
 def test_preset_recomputes_default_thetas():
-    cfg = apply_preset(RunConfig(), "II")
+    cfg = parse_config("preset = II")
     assert cfg.thetas_deg[0] == pytest.approx(69.89534, abs=1e-9)
-    explicit = parse_config("thetas_deg = 42")
-    assert apply_preset(explicit, "II").thetas_deg == (42.0,)
+    assert parse_config("thetas_deg = 42\npreset = II").thetas_deg == (42.0,)
+
+
+def test_numpy_scalars_write_the_float_bytes(tmp_path):
+    ladder = np.logspace(-6, -5, 2)
+    thetas = np.array([10.0, 34.94767])
+    cfgs = {"numpy": RunConfig(sigma0_ladder=tuple(ladder),
+                               thetas_deg=tuple(thetas)),
+            "float": RunConfig(sigma0_ladder=tuple(ladder.tolist()),
+                               thetas_deg=tuple(thetas.tolist()))}
+    written = {}
+    for name, cfg in cfgs.items():
+        out = tmp_path / name
+        run_table(replace(cfg, output_dir=out))
+        run_curve(replace(cfg, output_dir=out))
+        written[name] = {path.name: path.read_bytes()
+                         for path in sorted(out.iterdir())}
+    assert written["numpy"] == written["float"]
+    assert "curve_sigma0_1em06.csv" in written["numpy"]
+    assert cfgs["numpy"] == cfgs["float"]
+    assert parse_config(serialize(cfgs["numpy"])) == cfgs["numpy"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("thetas_deg", (True,)), ("thetas_deg", ("10",)),
+    ("thetas_deg", (10j,)), ("sigma0_ladder", (True,)),
+    ("sigma0_ladder", ("1e-6",))])
+def test_run_config_refuses_bools_and_non_reals(field, value):
+    with pytest.raises(ValidationError, match="must be a real number"):
+        RunConfig(**{field: value})
 
 
 def test_validate_subcommand(capsys):
@@ -357,15 +396,55 @@ def test_compare_rejects_scheme_key(tmp_path, capsys, scheme):
     assert main(["validate", "--config", str(cfgfile)]) == EXIT_OK
 
 
-def test_flag_overrides_config(tmp_path):
+# key: (config line, flag, read from the run, then the value from
+# --preset II, from the file on top of it and from the flag on top of both)
+PRECEDENCE = {
+    "d": ("d = 1.5", [], lambda cfg: cfg.physics.d, 2.0, 1.5, None),
+    "sigma0": ("sigma0 = 1e-6", ["--sigma0", "1e-7"],
+               lambda cfg: cfg.sigma0_ladder,
+               (1e-5, 1e-6, 1e-7, 1e-8), (1e-6,), (1e-7,)),
+    "thetas_deg": ("thetas_deg = 42", ["--theta-deg", "10"],
+                   lambda cfg: cfg.thetas_deg,
+                   default_thetas_deg(PhysicsConfig(d=2.0)), (42.0,), (10.0,)),
+    "scheme": ("scheme = modulus-schrodinger-current",
+               ["--scheme", "semiclassical-delta"], lambda cfg: cfg.scheme,
+               ArrivalScheme.MODULUS_TOTAL_CURRENT,
+               ArrivalScheme.MODULUS_SCHRODINGER_CURRENT,
+               ArrivalScheme.SEMICLASSICAL_DELTA),
+    "rel_tol": ("rel_tol = 1e-9", ["--rel-tol", "1e-8"],
+                lambda cfg: cfg.quad.rel_tol, 1e-10, 1e-9, 1e-8),
+    "out": ("out = from_file", ["--out", "from_flag"],
+            lambda cfg: cfg.output_dir,
+            Path("."), Path("from_file"), Path("from_flag")),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PRECEDENCE))
+def test_flag_overrides_config(tmp_path, key):
+    # --preset, then --config, then the other flags, whatever their order
+    # on the command line
+    line, flag, read, *expected = PRECEDENCE[key]
     cfgfile = tmp_path / "base.cfg"
-    cfgfile.write_text("preset = II\nsigma0 = 1e-6\n")
-    out = tmp_path / "out"
-    code = main(["table", "--config", str(cfgfile), "--sigma0", "1e-5",
-                 "--theta-deg", "69.89534", "--out", str(out)])
-    assert code == EXIT_OK
-    rows = (out / "table.csv").read_text().splitlines()
-    assert rows[1] == "1e-05,1.00000,0.00000"  # d=2 from preset, flag sigma0
+    cfgfile.write_text(line + "\n")
+    sources = [["--preset", "II"], ["--config", str(cfgfile)], flag]
+    for n, value in enumerate(expected, start=1):
+        if value is not None:
+            argv = [arg for source in reversed(sources[:n]) for arg in source]
+            args = cli._parser().parse_args(["validate", *argv])
+            assert read(cli._assemble(args)) == value
+
+
+def test_only_the_merged_config_is_validated(tmp_path, capsys):
+    # the file alone fails the exit-width guard at the default sigma0
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text("d = 2e-5\n")
+    assert main(["validate", "--config", str(cfgfile)]) == EXIT_VALIDATION
+    assert "exit instant" in capsys.readouterr().err
+    for command in ("validate", "table"):
+        assert main([command, "--config", str(cfgfile), "--sigma0", "1e-7",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert (tmp_path / "out" / "table.csv").read_text().startswith(
+        "sigma0_cm,p_plus_0.00070,")
 
 
 @pytest.mark.parametrize("command,name", [

@@ -10,7 +10,7 @@ import pytest
 
 from qclock import (ArrivalScheme, PhysicsConfig, QuadratureSpec, integrate,
                     integrate_full, pi_of_phi, quadrature)
-from qclock.cli import RunConfig, run_curve, run_table
+from qclock.cli import RunConfig, run_curve, run_table, serialize
 from qclock.errors import ConvergenceError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -134,6 +134,28 @@ def test_spec_validation():
         QuadratureSpec(panel_order=65)
     with pytest.raises(ValidationError):
         QuadratureSpec(max_depth=0)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("max_depth", True, "an integer"), ("panel_order", True, "an integer"),
+    ("panel_order", 16.0, "an integer"),
+    ("max_depth", np.float64(40), "an integer"),
+    ("rel_tol", True, "a real number"), ("rel_tol", "1e-9", "a real number")])
+def test_spec_refuses_bools_and_wrong_kinds(field, value, message):
+    with pytest.raises(ValidationError, match=f"{field} must be {message}"):
+        QuadratureSpec(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("panel_order", np.int64(16)), ("max_depth", np.int64(40)),
+    ("rel_tol", 1), ("rel_tol", np.float64(1e-9))])
+def test_spec_stores_builtin_numbers(field, value):
+    spec = QuadratureSpec(**{field: value})
+    stored = getattr(spec, field)
+    assert type(stored) is type(getattr(QuadratureSpec(), field))
+    assert stored == value
+    assert spec == QuadratureSpec(**{field: stored})
+    assert f"{field} = {stored!r}\n" in serialize(RunConfig(quad=spec))
 
 
 def test_bounds_validation():
