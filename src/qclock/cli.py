@@ -60,11 +60,13 @@ class RunConfig:
 
     ``physics`` is stored with the ladder's first sigma0, and every sigma0
     and angle as a Python float, so equal runs compare and serialize equal.
+    Empty ``thetas_deg`` (the default) stores ``default_thetas_deg`` of
+    that physics.
     """
 
     physics: PhysicsConfig = PhysicsConfig()
     scheme: ArrivalScheme = ArrivalScheme.MODULUS_TOTAL_CURRENT
-    thetas_deg: tuple[float, ...] = default_thetas_deg(PhysicsConfig())
+    thetas_deg: tuple[float, ...] = ()
     sigma0_ladder: tuple[float, ...] = DEFAULT_SIGMA0_LADDER
     quad: QuadratureSpec = QuadratureSpec()
     output_dir: Path = Path(".")
@@ -74,7 +76,8 @@ class RunConfig:
             raise ValidationError("sigma0_ladder must not be empty")
         # each cell's physics runs the validity guard on its sigma0
         cells = [self.physics_for(s0) for s0 in self.sigma0_ladder]
-        thetas = tuple(as_number("thetas_deg", t) for t in self.thetas_deg)
+        thetas = tuple(as_number("thetas_deg", t) for t in self.thetas_deg) \
+            or default_thetas_deg(cells[0])
         for theta in thetas:
             if not 0.0 <= theta < 360.0:
                 raise ValidationError(
@@ -157,9 +160,9 @@ def _build(settings: dict) -> RunConfig:
         key: settings[key] for key in _PHYSICS_KEYS if key in settings})
     quad = QuadratureSpec(**{key: settings[key] for key in _QUAD_KEYS
                              if key in settings})
-    thetas = settings.get("thetas_deg") or default_thetas_deg(physics)
     return RunConfig(
-        physics=physics, quad=quad, thetas_deg=thetas, sigma0_ladder=ladder,
+        physics=physics, quad=quad, thetas_deg=settings.get("thetas_deg", ()),
+        sigma0_ladder=ladder,
         scheme=settings.get("scheme", ArrivalScheme.MODULUS_TOTAL_CURRENT),
         output_dir=settings.get("out", Path(".")))
 

@@ -67,10 +67,13 @@ class AngularDistribution:
     """Normalized angular density on [0, 2*pi], tabulated on first read.
 
     ``density_fn`` is the continuous normalized density used by every
-    downstream integral; ``norm_constant`` is the unnormalized total that
-    was divided out; ``nodes`` holds the accepted abscissas of that
-    normalization pass; ``quad`` is the spec it was built with, which
-    every observable reuses.
+    downstream integral.  Given exactly the nodes of the normalization
+    pass's first level, it returns the values that pass computed, kept
+    normalized in a read-only array, instead of calling the density
+    again; a caller that writes to its result must copy it first.
+    ``norm_constant`` is the unnormalized total that was divided out;
+    ``nodes`` holds the accepted abscissas of that normalization pass;
+    ``quad`` is the spec it was built with, which every observable reuses.
 
     Three attributes are computed on first read and then kept, so a
     caller that only measures never pays for them: ``grid``/``density``
@@ -103,7 +106,14 @@ class AngularDistribution:
         it evaluates raises ``ValidationError``.  ``fn`` must be
         elementwise: a point's value may not depend on which other points
         share the call, since the quadrature evaluates many panels' nodes
-        in one call.  ``split_hints`` must *bracket* any
+        in one call.  The pass's first call, on the nodes of its hint
+        panels and their first bisection, is kept divided by the norm:
+        every later pass over the distribution (``measure``,
+        ``density_matrix``, ``mean_phi``, ``variance_phi``) starts from
+        those nodes, and ``density_fn`` returns the kept values for them,
+        found by identity or else by equal values, so that their first
+        level calls ``fn`` no more.  Because ``fn`` is elementwise these
+        are the values it would return.  ``split_hints`` must *bracket* any
         feature much narrower than the domain, not merely mark it: panels
         whose nodes all miss a spike evaluate to zero and get accepted as
         converged.  Use a ladder of points on both flanks (see
@@ -113,10 +123,14 @@ class AngularDistribution:
         """
         quad = quad or QuadratureSpec()
         hints = hint_tuple(split_hints)
+        first_call = []
 
         def nonnegative(phi):
             values = np.asarray(fn(phi))
             _check_nonnegative(values)
+            if not first_call:
+                # fn may hand back a buffer that its next call reuses
+                first_call.extend((phi, values.copy()))
             return values
 
         total = integrate_full(nonnegative, 0.0, TWO_PI, quad, hints,
@@ -125,9 +139,17 @@ class AngularDistribution:
             raise DegenerateDistributionError(
                 f"density integrates to {total.value!r}; nothing to normalize")
         norm = total.value
+        first_nodes, first_values = first_call
+        first_values = first_values / norm
+        first_values.flags.writeable = False
 
         def density_fn(phi, _fn=fn, _norm=norm):
-            return np.asarray(_fn(np.asarray(phi, dtype=np.float64))) / _norm
+            phi = np.asarray(phi, dtype=np.float64)
+            # fn is elementwise, so these are the values it would give
+            if phi is first_nodes or (phi.shape == first_nodes.shape
+                                      and np.array_equal(phi, first_nodes)):
+                return first_values
+            return np.asarray(_fn(phi)) / _norm
 
         return cls(density_fn=density_fn, norm_constant=norm,
                    nodes=total.nodes, quad=quad, split_hints=hints,

@@ -47,7 +47,10 @@ def _first_moment(dist: AngularDistribution) -> complex:
     One adaptive pass over the stacked integrand [w, w*cos, w*sin]: the
     density w dominates both trigonometric rows, so panels are accepted
     against the mass row and C and S share its panels and evaluations.
-    The rows are filled in place (cos*w is w*cos to the bit).
+    The rows are filled in place (cos*w is w*cos to the bit).  The pass's
+    first level is the normalization pass's, whose density values
+    ``density_fn`` has kept, so only a deeper level calls the kernel; on
+    the preset cells none does, and m1 costs no kernel call.
     """
     fn = dist.density_fn
 

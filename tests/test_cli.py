@@ -127,6 +127,15 @@ def test_preset_recomputes_default_thetas():
     assert parse_config("thetas_deg = 42\npreset = II").thetas_deg == (42.0,)
 
 
+def test_constructed_physics_moves_default_thetas():
+    # the library's defaults follow the physics as the parser's do
+    cfg = RunConfig(physics=PhysicsConfig(d=2.0))
+    assert cfg.thetas_deg == parse_config("d = 2").thetas_deg
+    assert cfg.thetas_deg == default_thetas_deg(PhysicsConfig(d=2.0))
+    assert RunConfig(physics=PhysicsConfig(d=2.0), thetas_deg=(42,)) \
+        .thetas_deg == (42.0,)
+
+
 def test_numpy_scalars_write_the_float_bytes(tmp_path):
     ladder = np.logspace(-6, -5, 2)
     thetas = np.array([10.0, 34.94767])

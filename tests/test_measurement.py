@@ -1,15 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from convolution_oracle import convolution_probs
+from momentum_oracle import momentum_m1
 from physics_oracle import chi_of_phi, prob_plus
 
 from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     bracketing_hints, density_matrix, deviation_report,
-                    distribution, measure, pi_of_phi, quadrature,
-                    round_half_away, semiclassical_prediction)
+                    distribution, mean_phi, measure, pi_of_phi, quadrature,
+                    round_half_away, semiclassical_prediction, variance_phi)
+from qclock.cli import default_thetas_deg
 from qclock.distribution import TWO_PI
+from qclock.measurement import _first_moment
 from qclock.errors import DomainError
 
 SET_I = PhysicsConfig()
@@ -202,8 +209,119 @@ def test_kernel_calls_per_preset_cell(monkeypatch, d, sigma0):
     tail_levels = {1.0: 2, 2.0: 3}[d] if sigma0 == 1e-8 else 1
     assert len(calls) == 1 + tail_levels
     calls.clear()
+    # the m1 pass starts from the norm pass's first-level values, and
+    # every preset m1 pass is accepted at that level
     measure(dist, cfg.phi_peak)
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def count_kernel_calls(monkeypatch):
+    """The list that every later kernel call appends its size to."""
+    calls = []
+    original = distribution.exit_current_grid
+
+    def counting_kernel(cfg, t):
+        calls.append(np.asarray(t).size)
+        return original(cfg, t)
+
+    monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0])
+@pytest.mark.parametrize("sigma0", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_moment_passes_reuse_the_norm_pass(monkeypatch, d, sigma0):
+    dist = pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), TOTAL)
+    calls = count_kernel_calls(monkeypatch)
+    density_matrix(dist)
+    mean_phi(dist)
+    assert calls == []
+    # the central second moment refines 2 panels once more at 1e-8, and
+    # that deeper level calls the kernel as it always did
+    variance_phi(dist)
+    assert calls == ([2 * 2 * dist.quad.panel_order] if sigma0 == 1e-8 else [])
+
+
+#: (d, sigma0, scheme) cells whose m1 is checked against a fresh process;
+#: more than the layout memo holds, so building them all evicts the first
+FRESH_CELLS = [(d, sigma0, TOTAL.value)
+               for d in (1.0, 2.0)
+               for sigma0 in (1e-5, 3e-6, 1e-6, 3e-7, 1e-7, 1e-8)]
+# on this cell the two schemes' m1 differ in their last bits
+SHARED_KEY_CELL = (2.0, 1e-7)
+
+_FRESH_M1_SCRIPT = """
+import sys
+from qclock import ArrivalScheme, PhysicsConfig, pi_of_phi
+from qclock.measurement import _first_moment
+args = sys.argv[1:]
+for d, sigma0, scheme in zip(args[0::3], args[1::3], args[2::3]):
+    cfg = PhysicsConfig(d=float(d), sigma0=float(sigma0))
+    print(repr(_first_moment(pi_of_phi(cfg, ArrivalScheme(scheme)))))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_m1():
+    """repr(m1) of every FRESH_CELLS cell and of both schemes on
+    SHARED_KEY_CELL, each measured right after it was built in a fresh
+    interpreter."""
+    cells = FRESH_CELLS + [(*SHARED_KEY_CELL, s.value) for s in (TOTAL, SCH)]
+    env = dict(os.environ)
+    src = str(Path(quadrature.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    args = [str(v) for cell in cells for v in cell]
+    out = subprocess.run([sys.executable, "-c", _FRESH_M1_SCRIPT, *args],
+                         env=env, capture_output=True, text=True, check=True)
+    return dict(zip(cells, out.stdout.split()))
+
+
+def test_evicted_layouts_still_reuse_the_norm_pass(monkeypatch, fresh_m1):
+    # the stored nodes are found again by value once the memo has rebuilt
+    # their layout as a new array
+    quadrature._first_levels.cache_clear()
+    dists = [pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), ArrivalScheme(s))
+             for d, sigma0, s in FRESH_CELLS]
+    misses = quadrature._first_levels.cache_info().misses
+    calls = count_kernel_calls(monkeypatch)
+    got = [repr(_first_moment(dist)) for dist in dists]
+    assert quadrature._first_levels.cache_info().misses > misses
+    assert calls == []
+    assert got == [fresh_m1[cell] for cell in FRESH_CELLS]
+
+
+def test_schemes_sharing_a_layout_keep_their_own_values(monkeypatch, fresh_m1):
+    d, sigma0 = SHARED_KEY_CELL
+    cfg = PhysicsConfig(d=d, sigma0=sigma0)
+    total = pi_of_phi(cfg, TOTAL)
+    schrodinger = pi_of_phi(cfg, SCH)
+    assert total.split_hints == schrodinger.split_hints
+    assert total.quad == schrodinger.quad
+    expected = [fresh_m1[(d, sigma0, s.value)] for s in (TOTAL, SCH)]
+    assert expected[0] != expected[1]
+    calls = count_kernel_calls(monkeypatch)
+    assert [repr(_first_moment(total)),
+            repr(_first_moment(schrodinger))] == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0])
+@pytest.mark.parametrize("sigma0", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_momentum_oracle_on_preset_cells(d, sigma0):
+    # the criterion-2 cells (d = 2, sigma0 = 1e-8) are among these: the
+    # package's values there are those of its formulas, whatever the
+    # bundled reference row says
+    cfg = PhysicsConfig(d=d, sigma0=sigma0)
+    dist = pi_of_phi(cfg, TOTAL)
+    expected = momentum_m1(cfg)
+    assert abs(_first_moment(dist) - expected) <= 1e-12
+    for theta_deg in default_thetas_deg(cfg):
+        theta = math.radians(theta_deg)
+        p_plus = 0.5 * (1.0 + (expected * complex(math.cos(theta),
+                                                  -math.sin(theta))).real)
+        res = measure(dist, theta)
+        assert abs(res.p_plus - p_plus) <= 1e-12
+        assert abs(res.p_minus - (1.0 - p_plus)) <= 1e-12
 
 
 def test_round_half_away():

@@ -6,7 +6,10 @@ pipeline rejects with a typed error, or that lose more than 1e-6 of their
 mass beyond one turn, are assumed away.
 """
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 from convolution_oracle import convolution_probs
@@ -43,3 +46,33 @@ def test_moment_identity_on_valid_configs(d, u, B, sigma0, theta):
     assert 0.0 <= res.p_plus <= 1.0
     assert 0.0 <= res.p_minus <= 1.0
     assert np.all(np.linalg.eigvalsh(density_matrix(dist)) >= -1e-12)
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_does_not_abort_the_session(tmp_path):
+    # hypothesis's failure report triggers a third-party deprecation; under
+    # the suite's warnings-as-errors setting it must not stop the session
+    (tmp_path / "test_failing_property.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), str(tmp_path / "test_failing_property.py")],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "FAILED" in out.stdout and "test_fails" in out.stdout
+    assert "1 failed, 1 passed" in out.stdout
