@@ -167,14 +167,13 @@ def _build(settings: dict) -> RunConfig:
         output_dir=settings.get("out", Path(".")))
 
 
-def parse_config(text: str, *, allow_scheme: bool = True) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse a key=value document into a validated RunConfig.
 
     Unknown keys are rejected with their line number.  Omitted keys keep
-    the d=1 cm preset with its standard sweep axes.  ``allow_scheme=False``
-    rejects a ``scheme`` key the same way, for a command that would ignore it.
+    the d=1 cm preset with its standard sweep axes.
     """
-    return _build(_read_config(text, allow_scheme))
+    return _build(_read_config(text, allow_scheme=True))
 
 
 def serialize(cfg: RunConfig) -> str:

@@ -103,7 +103,8 @@ class AngularDistribution:
         """Normalize an arbitrary nonnegative vectorized density on [0, 2*pi].
 
         Runs the normalization pass only; any negative or complex value
-        it evaluates raises ``ValidationError``.  ``fn`` must be
+        it evaluates, or an output shaped unlike its input, raises
+        ``ValidationError``.  ``fn`` must be
         elementwise: a point's value may not depend on which other points
         share the call, since the quadrature evaluates many panels' nodes
         in one call.  The pass's first call, on the nodes of its hint
@@ -127,6 +128,10 @@ class AngularDistribution:
 
         def nonnegative(phi):
             values = np.asarray(fn(phi))
+            if values.shape != phi.shape:
+                raise ValidationError(
+                    f"density must return one value per point, shape "
+                    f"{phi.shape}; got {values.shape}")
             _check_nonnegative(values)
             if not first_call:
                 # fn may hand back a buffer that its next call reuses

@@ -26,8 +26,8 @@ NEUTRON_MOMENT = 9.6623651e-24
 #: magnetic moment below is calibrated to hit this angle exactly.
 REFERENCE_ROTATION_DEG = 34.94767
 
-# The exit-current kernel flushes density exponents below this to an exact
-# zero, so far tails cost nothing and never go denormal; exp(-700) ~ 1e-304
+# The exit-current kernel sets the density to an exact zero where its
+# exponent is below this, so far tails never go denormal; exp(-700) ~ 1e-304
 # is the last comfortably normal double.
 _EXP_FLOOR = -700.0
 
@@ -77,7 +77,7 @@ class PhysicsConfig:
             raise ValidationError("derived wave number k = m0*u/hbar is not finite and positive")
         if not math.isfinite(self.omega) or self.omega <= 0.0:
             raise ValidationError("derived precession rate omega = mu*B/hbar is not finite and positive")
-        exit_width = _sigma_t(self, self.transit_time)
+        exit_width = width(self, self.transit_time).sigma_t
         if not exit_width < self.d / 2.0:
             raise ValidationError(
                 f"packet width at the exit instant ({exit_width:.3e} cm) must stay "
@@ -113,16 +113,6 @@ class PacketWidth:
     a_t: complex
 
 
-def _spread_ratio(cfg: PhysicsConfig, t: float) -> float:
-    # hbar*t / (2*m0*sigma0^2), the dimensionless spreading parameter
-    return cfg.hbar * t / (2.0 * cfg.m0 * cfg.sigma0 * cfg.sigma0)
-
-
-def _sigma_t(cfg: PhysicsConfig, t: float) -> float:
-    s = _spread_ratio(cfg, t)
-    return cfg.sigma0 * math.sqrt(1.0 + s * s)
-
-
 def width(cfg: PhysicsConfig, t: float) -> PacketWidth:
     """Packet width at time t >= 0.
 
@@ -131,6 +121,7 @@ def width(cfg: PhysicsConfig, t: float) -> PacketWidth:
     """
     if t < 0.0:
         raise DomainError("t must be >= 0")
-    s = _spread_ratio(cfg, t)
+    # the dimensionless spreading parameter
+    s = cfg.hbar * t / (2.0 * cfg.m0 * cfg.sigma0 * cfg.sigma0)
     a_t = cfg.sigma0 * complex(1.0, s)
     return PacketWidth(sigma_t=abs(a_t), a_t=a_t)

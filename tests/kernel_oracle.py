@@ -1,10 +1,10 @@
 """Frozen plain-expression transcription of the exit-point current.
 
-``qclock.exit_current_grid`` evaluates this closed form into reused
-buffers, one in-place operation at a time.  This copy keeps the same
-expressions as ordinary numpy arithmetic, one temporary per operation, so
-a test can demand that the buffered kernel reproduces every bit of it.
-Do not edit the arithmetic: its value is that it does not change.
+``qclock.exit_current_grid`` evaluates the same expressions as this copy.
+The copy stays frozen as the bit guard: a test demands that the kernel
+reproduces every bit of it, so any rewrite of the kernel that moves a bit
+is caught.  Do not edit the arithmetic: its value is that it does not
+change.
 """
 
 import numpy as np

@@ -25,7 +25,7 @@ import numpy as np
 from qclock import HBAR, PhysicsConfig, width
 from qclock.distribution import TWO_PI
 from qclock.errors import DomainError, QClockError, ValidationError
-from qclock.wavepacket import _EXP_FLOOR, _sigma_t
+from qclock.wavepacket import _EXP_FLOOR
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _NORM_TOL = 1e-12
@@ -42,7 +42,9 @@ def rho(cfg: PhysicsConfig, x: float, t: float) -> float:
     """
     if t < 0.0:
         raise DomainError("t must be >= 0")
-    st = _sigma_t(cfg, t)
+    # sigma0*sqrt(1 + s^2), not width()'s |a_t|: psi goes through width()
+    s = cfg.hbar * t / (2.0 * cfg.m0 * cfg.sigma0 * cfg.sigma0)
+    st = cfg.sigma0 * math.sqrt(1.0 + s * s)
     miss = x - cfg.u * t
     arg = -(miss * miss) / (2.0 * st * st)
     if arg < _EXP_FLOOR:

@@ -183,6 +183,14 @@ def assert_kernel_bits(cfg, rng):
         if n >= 48:
             # the flush region and the live region are both exercised
             assert np.any(want[0] == 0.0) and np.any(want[0] != 0.0)
+            # a 2-D array keeps its shape and every bit
+            t2 = t.reshape(2, -1)
+            got2 = exit_current_grid(cfg, t2)
+            want2 = exit_current_reference(cfg, t2)
+            for g2, w2, g in zip(got2, want2, got):
+                assert g2.shape == w2.shape == t2.shape
+                assert np.array_equal(bits(g2), bits(w2))
+                assert np.array_equal(bits(g2), bits(g.reshape(2, -1)))
 
 
 @pytest.mark.parametrize("cfg", PRESET_CELLS,

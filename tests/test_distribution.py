@@ -394,6 +394,17 @@ def test_from_density_rejects_complex_values():
                 lambda p: (1 + np.cos(p)).astype(complex))
 
 
+@pytest.mark.parametrize("density", [
+    lambda p: np.stack((np.ones_like(p),) * 2),
+    lambda p: np.ones_like(p)[:, None],
+    lambda p: 1.0,
+], ids=["two-rows", "column", "scalar"])
+def test_from_density_rejects_output_shaped_unlike_its_input(density):
+    # k rows would integrate to k values, not to one norm
+    with pytest.raises(ValidationError, match="one value per point"):
+        AngularDistribution.from_density(density)
+
+
 # Off-preset values that a last-bit change in the quadrature moves: each
 # of them moved when one matrix product served every panel batch of a call.
 def test_offpreset_total_scheme_tail_mass_pinned():
