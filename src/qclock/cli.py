@@ -177,7 +177,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize(cfg: RunConfig) -> str:
-    """Emit a config document that parses back to an equal RunConfig."""
+    """Emit a config document that parses back to an equal RunConfig;
+    ``ValidationError`` for an ``output_dir`` that a config value cannot
+    carry ('#', a line break, or whitespace at either end)."""
+    out = str(cfg.output_dir)
+    if "#" in out or out != out.strip() or len(out.splitlines()) > 1:
+        raise ValidationError(f"output_dir {out!r} cannot be written to a "
+                              f"config: '#', line break or edge whitespace")
     lines = ["# qclock run configuration"]
     for key in _PHYSICS_KEYS:
         lines.append(f"{key} = {getattr(cfg.physics, key)!r}")
@@ -187,7 +193,7 @@ def serialize(cfg: RunConfig) -> str:
     lines.append(f"rel_tol = {cfg.quad.rel_tol!r}")
     lines.append(f"panel_order = {cfg.quad.panel_order}")
     lines.append(f"max_depth = {cfg.quad.max_depth}")
-    lines.append(f"out = {cfg.output_dir}")
+    lines.append(f"out = {out}")
     return "\n".join(lines) + "\n"
 
 

@@ -31,23 +31,23 @@ children.  An integral accepted at the first bisection therefore calls the
 integrand once.  The integrand must be elementwise: a point's value may not
 depend on which other points share the call.
 
-The layout of those first two levels (the hint panels, their children,
-their half-widths and the node array the integrand receives) depends only
-on (interval, hints, order), so it is built once per key and kept in a
-memo of at most 8 entries; every array in it is read-only, as is every
-node array an integrand receives.  The key's hints are the
-distribution's hints tuple (Python floats, normalised once when the
-distribution is built); other hint iterables are converted on every call.
-Deeper levels build their layouts with the same function, so one
-evaluation path serves every level.
+The node array a call passes to the integrand is node-major: viewed as
+(order, panels), row j holds node j of every panel.  The first two levels'
+layout (the hint panels, their children, and the half-widths and nodes of
+the call over both) depends only on (interval, hints, order), so it is
+built once per key and kept in a memo of at most 8 entries; every array
+in it is read-only, as is every node array an integrand receives.  The
+key's hints are the distribution's hints tuple (Python floats, normalised
+once when the distribution is built); other hint iterables are converted
+on every call.  Deeper levels build their layouts with the same function.
 
-Determinism matters (output files must be byte-identical across runs), so
-panels are processed breadth-first in positional order and the accepted
-contributions of each component are summed in ascending position with
-numpy's pairwise summation.  Each panel batch of a call keeps its own
-Gauss-Legendre matrix product, because BLAS rounding depends on the shape
-of the product: one product over every batch of a call would move last
-bits.  No randomness, no dict-order dependence.
+Determinism matters: output files must be byte-identical across runs and
+installs.  Every panel estimate is ``half * sum_j w_j*f(x_j)``, each
+product rounded on its own and summed in ascending j, elementwise across
+the call's panels, which rounds the same whatever the BLAS library or SIMD
+level.  Panels are processed breadth-first in positional order and the
+accepted contributions of each component are summed in ascending position
+with numpy's pairwise summation.  No randomness, no dict-order dependence.
 """
 
 from __future__ import annotations
@@ -141,40 +141,35 @@ def _bisect(lefts, rights):
     return child_lefts, child_rights
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
-    """Where one integrand call evaluates: per panel batch its half-widths
-    and its (panels, order) Gauss-Legendre nodes, which are consecutive
-    views of ``flat``, the array the integrand receives."""
+@lru_cache(maxsize=8)
+def _node_weights(order, panels):
+    """The read-only weight of every node of a call over ``panels`` panels,
+    laid out node-major like the nodes."""
+    _x, w = _gauss_legendre(order)
+    weights = np.repeat(w, panels)
+    weights.flags.writeable = False
+    return weights
 
-    halves: tuple
-    pts: tuple
-    flat: np.ndarray
 
-
-def _layout(order, *batches):
-    """The layout of one call over one or more (lefts, rights) batches."""
+def _layout(order, lefts, rights):
+    """The half-widths of the panels [lefts, rights] and the read-only
+    node-major array of their Gauss-Legendre nodes, which the integrand
+    receives."""
     x, _w = _gauss_legendre(order)
-    flat = np.empty(sum(lefts.size for lefts, _rights in batches) * order)
-    halves, pts = [], []
-    start = 0
-    for lefts, rights in batches:
-        half = 0.5 * (rights - lefts)
-        p = flat[start:start + half.size * order].reshape(half.size, order)
-        np.add((0.5 * (rights + lefts))[:, None], half[:, None] * x[None, :],
-               out=p)
-        halves.append(half)
-        pts.append(p)
-        start += p.size
+    half = 0.5 * (rights - lefts)
+    flat = np.empty(order * half.size)
+    np.add(0.5 * (rights + lefts), x[:, None] * half,
+           out=flat.reshape(order, half.size))
     flat.flags.writeable = False  # what the integrand receives
-    return _Layout(tuple(halves), tuple(pts), flat)
+    return half, flat
 
 
 @lru_cache(maxsize=8)
 def _first_levels(a, b, hints, order):
-    """The hint panels, their children and the layout of the call that
-    evaluates both, for one (interval, hints, order); every array is
-    read-only, since later passes share it.
+    """The hint panels, their children, and the half-widths and nodes of
+    the one call that evaluates both (parents first, then children), for
+    one (interval, hints, order); every array is read-only, since later
+    passes share it.
 
     A distribution reuses at most three keys (its hinted interval, the
     tail interval and the order+2 norm check), so a few entries suffice;
@@ -188,11 +183,11 @@ def _first_levels(a, b, hints, order):
     lefts = np.asarray(edges[:-1], dtype=np.float64)
     rights = np.asarray(edges[1:], dtype=np.float64)
     child_lefts, child_rights = _bisect(lefts, rights)
-    layout = _layout(order, (lefts, rights), (child_lefts, child_rights))
-    for arr in (lefts, rights, child_lefts, child_rights, *layout.halves,
-                *layout.pts):
+    half, flat = _layout(order, np.concatenate((lefts, child_lefts)),
+                         np.concatenate((rights, child_rights)))
+    for arr in (lefts, rights, child_lefts, child_rights, half):
         arr.flags.writeable = False
-    return lefts, rights, child_lefts, child_rights, layout
+    return lefts, rights, child_lefts, child_rights, half, flat
 
 
 def hint_tuple(split_hints: Iterable[float]) -> tuple:
@@ -208,17 +203,16 @@ def hint_tuple(split_hints: Iterable[float]) -> tuple:
             f"split_hints must be an iterable of real numbers: {exc}") from None
 
 
-def _panel_values(f, order, layout):
-    """Gauss-Legendre estimates for every panel batch of ``layout``, from
-    one call of f on ``layout.flat``.
+def _panel_values(f, order, half, flat):
+    """Gauss-Legendre estimates, shape (k, panels), of every panel of one
+    call of f on the node-major ``flat``, and whether f returned k rows
+    rather than one.
 
-    Returns one estimate array of shape (k, panels) per batch, and whether
-    f returned k rows rather than one.  Each batch gets its own
-    ``vals @ w`` (see the module docstring).
+    Each estimate is ``half * sum_j w_j*f(x_j)``, summed in ascending j
+    elementwise across panels (see the module docstring).
     """
-    _x, w = _gauss_legendre(order)
-    n = layout.flat.size
-    raw = np.asarray(f(layout.flat))
+    n = flat.size
+    raw = np.asarray(f(flat))
     if raw.dtype != np.float64:
         if np.iscomplexobj(raw):
             raise ValidationError(
@@ -235,15 +229,11 @@ def _panel_values(f, order, layout):
             f"points; got {raw.shape}")
     if not np.isfinite(raw).all():
         finite = np.isfinite(raw).reshape(-1, n).all(axis=0)
-        bad = layout.flat[~finite][0]
+        bad = flat[~finite][0]
         raise ValidationError(f"integrand returned a non-finite value near x={bad!r}")
-    estimates = []
-    start = 0
-    for half, p in zip(layout.halves, layout.pts):
-        vals = raw[..., start:start + p.size].reshape(-1, order)
-        estimates.append(half * (vals @ w).reshape(-1, half.size))
-        start += p.size
-    return estimates, raw.ndim == 2
+    panels = half.size
+    terms = (raw * _node_weights(order, panels)).reshape(-1, order, panels)
+    return half * np.add.reduce(terms, axis=1), raw.ndim == 2
 
 
 def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -259,9 +249,10 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     because the initial panels and their first bisection are evaluated in
     one call, and every later level in one call of its own.  An integral
     accepted at depth d therefore calls f d times.  The abscissa array f
-    receives is read-only.
-    Each panel batch keeps its own matrix product, since BLAS rounding
-    depends on the batch.  ``split_hints`` lists interior abscissas (e.g. a
+    receives is read-only and node-major (node j of every panel, then
+    node j + 1), and each panel's estimate sums its weighted values in
+    ascending node order, so no BLAS kernel touches the result (see the
+    module docstring).  ``split_hints`` lists interior abscissas (e.g. a
     known spike location) at which the interval is pre-split before any
     adaptivity runs; a tuple of Python floats is used as it is, and any
     other iterable is converted on every call.
@@ -276,11 +267,11 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         raise ValidationError("need finite bounds with a < b")
     order = spec.panel_order
 
-    lefts, rights, child_lefts, child_rights, first = _first_levels(
+    lefts, rights, child_lefts, child_rights, half, flat = _first_levels(
         float(a), float(b), hint_tuple(split_hints), order)
-    (parent_vals, child_vals), rows = _panel_values(f, order, first)
-    child_pts = first.pts[1]
-    n_evals = first.flat.size
+    vals, rows = _panel_values(f, order, half, flat)
+    parent_vals, child_vals = vals[:, :lefts.size], vals[:, lefts.size:]
+    n_evals = flat.size
 
     acc_pos: list[np.ndarray] = []
     acc_val: list[np.ndarray] = []
@@ -292,10 +283,11 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     for depth in range(1, spec.max_depth + 1):
         if depth > 1:
             child_lefts, child_rights = _bisect(lefts, rights)
-            layout = _layout(order, (child_lefts, child_rights))
-            (child_vals,), _ = _panel_values(f, order, layout)
-            child_pts = layout.pts[0]
-            n_evals += layout.flat.size
+            half, flat = _layout(order, child_lefts, child_rights)
+            child_vals, _ = _panel_values(f, order, half, flat)
+            n_evals += flat.size
+        if keep_nodes:  # a call's children are its last panels
+            child_pts = flat.reshape(order, -1)[:, -child_lefts.size:]
 
         refined = child_vals[:, 0::2] + child_vals[:, 1::2]
         abs_refined = np.abs(refined[0])
@@ -325,7 +317,7 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             acc_abs += float(abs_refined[ok].sum())
             n_panels += int(ok.sum())
             if keep_nodes:
-                acc_nodes.append(child_pts[np.repeat(ok, 2)].ravel())
+                acc_nodes.append(child_pts[:, np.repeat(ok, 2)].ravel())
         bad = ~ok
         pair_bad = np.repeat(bad, 2)
         lefts = child_lefts[pair_bad]
@@ -342,8 +334,7 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                 best_estimate=best, error_estimate=residual)
 
     value = _ordered_sum(acc_pos, acc_val, rows)
-    nodes = np.sort(np.concatenate(acc_nodes)) if keep_nodes and acc_nodes else \
-        (np.empty(0) if keep_nodes else None)
+    nodes = np.sort(np.concatenate(acc_nodes)) if keep_nodes else None
     return QuadratureResult(value=value, error=acc_err, n_evals=n_evals,
                             n_panels=n_panels, nodes=nodes)
 

@@ -121,6 +121,25 @@ def test_round_trip_of_a_constructed_ladder():
     assert parse_config(serialize(cfg)) == cfg
 
 
+@pytest.mark.parametrize("out", ["runs#1", " spaced ", "trail\t", "two\nlines",
+                                 "carriage\rreturn", "para\u2029graph"])
+def test_serialize_refuses_an_output_dir_a_config_cannot_carry(out):
+    # '#' starts a comment, values are stripped, and each line is one key
+    with pytest.raises(ValidationError, match="output_dir"):
+        serialize(RunConfig(output_dir=Path(out)))
+
+
+def test_serialize_round_trips_an_inner_space_and_equals_sign():
+    cfg = RunConfig(output_dir=Path("my runs/a=b"))
+    assert parse_config(serialize(cfg)) == cfg
+
+
+def test_out_flag_with_a_hash_still_runs(tmp_path):
+    out = tmp_path / "runs#1"
+    assert main(["table", "--sigma0", "1e-5", "--out", str(out)]) == EXIT_OK
+    assert (out / "table.csv").is_file()
+
+
 def test_preset_recomputes_default_thetas():
     cfg = parse_config("preset = II")
     assert cfg.thetas_deg[0] == pytest.approx(69.89534, abs=1e-9)
@@ -551,13 +570,13 @@ COMPARE_1EM07 = {
     "compare_modulus-total-current_sigma0_1em07.csv": """\
 theta_deg,p_plus,p_minus,p_plus_sc,delta
 34.947670000000009,0.99998974784608341,1.0252153916590068e-05,1,-1.0252153916590068e-05
-94.947670000000016,0.75002396573838759,0.24997603426161241,0.74999999999999989,2.3965738387698998e-05
+94.947670000000016,0.75002396573838759,0.24997603426161236,0.74999999999999989,2.3965738387698998e-05
 124.94767000000002,0.50003359233484246,0.49996640766515754,0.50000000000000011,3.3592334842347249e-05
 """,
     "compare_modulus-schrodinger-current_sigma0_1em07.csv": """\
 theta_deg,p_plus,p_minus,p_plus_sc,delta
 34.947670000000009,0.99998974784608341,1.0252153916590068e-05,1,-1.0252153916590068e-05
-94.947670000000016,0.75002396573838759,0.24997603426161241,0.74999999999999989,2.3965738387698998e-05
+94.947670000000016,0.75002396573838759,0.24997603426161236,0.74999999999999989,2.3965738387698998e-05
 124.94767000000002,0.50003359233484246,0.49996640766515754,0.50000000000000011,3.3592334842347249e-05
 """,
 }
@@ -590,8 +609,8 @@ truncated_tail_mass = 0
 """,
         "curve_sigma0_1em08_summary.txt": """\
 peak_phi_deg = 34.210140662257125
-variance_rad2 = 0.0044964173108714475
-truncated_tail_mass = 3.8278544255857094e-18
+variance_rad2 = 0.0044964173108714483
+truncated_tail_mass = 3.8278544255857102e-18
 """,
     },
     "II": {
@@ -612,7 +631,7 @@ truncated_tail_mass = 0
 """,
         "curve_sigma0_1em08_summary.txt": """\
 peak_phi_deg = 68.420281320646566
-variance_rad2 = 0.017985669243237232
+variance_rad2 = 0.017985669243237228
 truncated_tail_mass = 7.9961047783153811e-15
 """,
     },

@@ -353,16 +353,16 @@ def test_no_memo_array_escapes(fresh_memo):
     entries = [fresh_memo(0.0, TWO_PI, dist.split_hints, dist.quad.panel_order),
                fresh_memo(0.0, 1.0, (), QuadratureSpec().panel_order)]
     assert misses_hits(fresh_memo)[1] == 2  # both were built by the passes
-    for lefts, rights, child_lefts, child_rights, layout in entries:
-        arrays = [lefts, rights, child_lefts, child_rights, layout.flat,
-                  *layout.halves, *layout.pts]
-        for arr in arrays:
+    for entry in entries:
+        # lefts, rights, child_lefts, child_rights, half-widths, nodes
+        assert len(entry) == 6
+        for arr in entry:
             assert not arr.flags.writeable
             for mine in (dist.nodes, res.nodes):
                 assert not np.shares_memory(mine, arr)
     assert dist.nodes.flags.writeable and res.nodes.flags.writeable
     with pytest.raises(ValueError):
-        entries[0][4].flat[0] = 1.0
+        entries[0][5][0] = 1.0
 
 
 # each case differs from the first in one part of the key: the hints, the
@@ -444,3 +444,71 @@ def test_integrand_receives_read_only_nodes_at_every_level():
     assert len(seen) >= 3 and not any(seen)
     with pytest.raises(ValueError, match="read-only"):
         integrate(lambda x: np.multiply(x, 2.0, out=x), 0.0, 1.0)
+
+
+def ordered_estimate(f_rows, left, right, x, w):
+    """half * sum_j w_j*f(x_j) for one panel, summed by this loop in
+    ascending j; each node is mid + x_j*half, as the engine places it."""
+    half = 0.5 * (right - left)
+    mid = 0.5 * (right + left)
+    values = [f_rows(mid + xj * half) for xj in x]
+    estimates = []
+    for row in range(len(values[0])):
+        acc = w[0] * values[0][row]
+        for j in range(1, len(x)):
+            acc = acc + w[j] * values[j][row]
+        estimates.append(half * acc)
+    return estimates
+
+
+@pytest.mark.parametrize("order", [8, 16, 23])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_one_level_value_is_the_plain_ordered_sum(order, rows):
+    # polynomials of degree < 2*order: the first bisection is accepted,
+    # so the value is the two children's estimates added
+    def poly_rows(t):
+        return [1.0 + 3.0 * t * t - t ** 5, 0.5 * t ** 3 - 0.25 * t,
+                0.125 * t ** 4][:rows]
+
+    def f(x):
+        return np.array(poly_rows(x)) if rows > 1 else poly_rows(x)[0]
+    a, b = 0.3, 1.7
+    res = integrate_full(f, a, b, QuadratureSpec(panel_order=order))
+    assert res.n_evals == 3 * order  # one call, accepted at depth 1
+    x, w = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (a + b)
+    left = ordered_estimate(poly_rows, a, mid, x, w)
+    right = ordered_estimate(poly_rows, mid, b, x, w)
+    expected = [float(lo + hi) for lo, hi in zip(left, right)]
+    got = res.value.tolist() if rows > 1 else [res.value]
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+def exact_values(rng, shape):
+    """Random doubles built exactly from integers: mantissas of 52 bits
+    over 40 binades, so that any other summation order rounds differently."""
+    return np.ldexp(rng.integers(-2 ** 52, 2 ** 52, size=shape).astype(float),
+                    rng.integers(-80, -40, size=shape))
+
+
+def test_panel_sums_are_the_ordered_sum_for_every_panel_count():
+    # a numpy whose reduction reorders the sum (pairwise, or blocked for
+    # SIMD) over some panel count fails here
+    order = 16
+    _x, w = np.polynomial.legendre.leggauss(order)
+    rng = np.random.default_rng(20240518)
+    values = exact_values(rng, (3, order, 2049))
+    halves = exact_values(rng, 2049)
+    # elementwise across panels, so the first p columns are p panels' sums
+    acc = w[0] * values[:, 0]
+    for j in range(1, order):
+        acc = acc + w[j] * values[:, j]
+    expected = halves * acc
+    for panels in range(2, 2050):
+        flat = np.zeros(order * panels)
+        for k in (1, 3):
+            v = values[:k, :, :panels]
+            raw = v.reshape(k, -1) if k > 1 else v.reshape(-1)
+            got, _rows = quadrature._panel_values(
+                lambda _x: raw, order, halves[:panels], flat)
+            assert np.array_equal(got, expected[:k, :panels]), (panels, k)
