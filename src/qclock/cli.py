@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -58,10 +59,15 @@ def default_thetas_deg(physics: PhysicsConfig) -> tuple[float, ...]:
 class RunConfig:
     """Everything one invocation needs: physics, scheme, sweep axes, output.
 
-    ``physics`` is stored with the ladder's first sigma0, and every sigma0
-    and angle as a Python float, so equal runs compare and serialize equal.
+    ``physics`` is stored with the ladder's first sigma0, every sigma0 and
+    angle as a Python float, and ``output_dir`` (a ``str`` or path-like)
+    as a ``Path``, so equal runs compare and serialize equal.  A field of
+    any other type raises ``ValidationError`` before any cell runs.
     Empty ``thetas_deg`` (the default) stores ``default_thetas_deg`` of
-    that physics.
+    that physics.  The stored angles are a field like any other, so
+    ``dataclasses.replace(cfg, physics=...)`` passes them on unchanged,
+    still following the old physics; pass ``thetas_deg=()`` as well to
+    derive them from the new one.
     """
 
     physics: PhysicsConfig = PhysicsConfig()
@@ -72,6 +78,18 @@ class RunConfig:
     output_dir: Path = Path(".")
 
     def __post_init__(self):
+        for name, kind in (("physics", PhysicsConfig),
+                           ("scheme", ArrivalScheme),
+                           ("quad", QuadratureSpec)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(f"{name} must be of type "
+                                      f"{kind.__name__}, not "
+                                      f"{type(value).__name__}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValidationError(
+                f"output_dir must be a str or path-like, not "
+                f"{type(self.output_dir).__name__}")
         if not self.sigma0_ladder:
             raise ValidationError("sigma0_ladder must not be empty")
         # each cell's physics runs the validity guard on its sigma0
@@ -86,6 +104,7 @@ class RunConfig:
         object.__setattr__(self, "sigma0_ladder",
                            tuple(cell.sigma0 for cell in cells))
         object.__setattr__(self, "thetas_deg", thetas)
+        object.__setattr__(self, "output_dir", Path(self.output_dir))
 
     def physics_for(self, sigma0: float) -> PhysicsConfig:
         return replace(self.physics, sigma0=sigma0)

@@ -83,7 +83,9 @@ class AngularDistribution:
     self-test.  A ``ConvergenceError`` of that self-test therefore
     surfaces on first read of ``norm_check``, and a density that dips
     below zero, or is not finite, only between the nodes raises
-    ``ValidationError`` on first read of ``density``.
+    ``ValidationError`` on first read of ``density``.  The first m1 pass
+    (``measure``, ``density_matrix``) likewise keeps the rows of its
+    first level, read-only, for every later one; m1 itself is not kept.
     """
 
     density_fn: Callable[[np.ndarray], np.ndarray]
@@ -151,8 +153,7 @@ class AngularDistribution:
         def density_fn(phi, _fn=fn, _norm=norm):
             phi = np.asarray(phi, dtype=np.float64)
             # fn is elementwise, so these are the values it would give
-            if phi is first_nodes or (phi.shape == first_nodes.shape
-                                      and np.array_equal(phi, first_nodes)):
+            if _same_nodes(phi, first_nodes):
                 return first_values
             return np.asarray(_fn(phi)) / _norm
 
@@ -178,10 +179,47 @@ class AngularDistribution:
         return integrate(self.density_fn, 0.0, TWO_PI, check_spec,
                          self.split_hints)
 
+    @cached_property
+    def _moment_integrand(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The stacked integrand [w, w*cos, w*sin] of the first
+        trigonometric moment, as a k-row quadrature integrand.
+
+        The rows of its first call, on the first level of the first pass,
+        are kept read-only and returned again for those nodes, found as
+        ``density_fn`` finds its kept values; every later pass (another
+        analyzer angle, the density matrix) starts from the same nodes,
+        so only a deeper level computes cos and sin.  The rows are filled
+        in place (cos*w is w*cos to the bit).
+        """
+        fn = self.density_fn
+        first = []
+
+        def stacked(phi):
+            if first and _same_nodes(phi, first[0]):
+                return first[1]
+            w = fn(phi)
+            rows = np.empty((3, phi.size), dtype=np.result_type(w, phi))
+            rows[0] = w
+            np.multiply(np.cos(phi, out=rows[1]), w, out=rows[1])
+            np.multiply(np.sin(phi, out=rows[2]), w, out=rows[2])
+            if not first:
+                rows.flags.writeable = False
+                first.extend((phi, rows))
+            return rows
+
+        return stacked
+
 
 def _uniform_grid() -> np.ndarray:
     """The uniform part of the plot grid."""
     return np.linspace(0.0, TWO_PI, _GRID_POINTS)
+
+
+def _same_nodes(phi: np.ndarray, nodes: np.ndarray) -> bool:
+    """Whether ``phi`` holds exactly ``nodes``: the same array, or equal
+    values, as when the layout memo has rebuilt them as a new array."""
+    return phi is nodes or (phi.shape == nodes.shape
+                            and np.array_equal(phi, nodes))
 
 
 def _check_nonnegative(values: np.ndarray) -> None:
@@ -222,10 +260,13 @@ def _scheme_weight(cfg: PhysicsConfig, scheme: ArrivalScheme):
         def weight(phi):
             jx, _jz = exit_current_grid(cfg, np.asarray(phi) / two_omega)
             return np.abs(jx)
-    else:
+    elif scheme is ArrivalScheme.SEMICLASSICAL_DELTA:
         raise UnsupportedSchemeError(
             "the semiclassical delta has no finite density; use the "
             "closed-form measurement path instead")
+    else:
+        raise ValidationError(f"scheme must be of type ArrivalScheme, not "
+                              f"{type(scheme).__name__}")
     return weight
 
 

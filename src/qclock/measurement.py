@@ -47,22 +47,14 @@ def _first_moment(dist: AngularDistribution) -> complex:
     One adaptive pass over the stacked integrand [w, w*cos, w*sin]: the
     density w dominates both trigonometric rows, so panels are accepted
     against the mass row and C and S share its panels and evaluations.
-    The rows are filled in place (cos*w is w*cos to the bit).  The pass's
-    first level is the normalization pass's, whose density values
-    ``density_fn`` has kept, so only a deeper level calls the kernel; on
-    the preset cells none does, and m1 costs no kernel call.
+    The pass's first level is the normalization pass's, whose density
+    values ``density_fn`` has kept, and the distribution keeps the rows
+    that the first m1 pass builds there; so only a deeper level calls the
+    kernel or computes cos and sin.  On the preset cells none does, and a
+    later m1 costs one pass over kept rows.
     """
-    fn = dist.density_fn
-
-    def stacked(p):
-        w = fn(p)
-        rows = np.empty((3, p.size), dtype=np.result_type(w, p))
-        rows[0] = w
-        np.multiply(np.cos(p, out=rows[1]), w, out=rows[1])
-        np.multiply(np.sin(p, out=rows[2]), w, out=rows[2])
-        return rows
-
-    _mass, c, s = integrate(stacked, 0.0, TWO_PI, dist.quad, dist.split_hints)
+    _mass, c, s = integrate(dist._moment_integrand, 0.0, TWO_PI, dist.quad,
+                            dist.split_hints)
     return complex(c, s)
 
 

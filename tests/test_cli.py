@@ -184,6 +184,46 @@ def test_run_config_refuses_bools_and_non_reals(field, value):
         RunConfig(**{field: value})
 
 
+class _PathLike:
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+
+@pytest.mark.parametrize("out", ["runs", _PathLike("runs")])
+def test_run_config_stores_output_dir_as_a_path(tmp_path, out):
+    cfg = RunConfig(output_dir=out)
+    assert cfg.output_dir == Path("runs")
+    assert cfg == RunConfig(output_dir=Path("runs"))
+    assert parse_config(serialize(cfg)) == cfg
+    cfg = RunConfig(sigma0_ladder=(1e-5,), output_dir=str(tmp_path / "t"))
+    assert run_table(cfg) == tmp_path / "t" / "table.csv"
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("physics", None, "PhysicsConfig"), ("physics", "I", "PhysicsConfig"),
+    ("scheme", "modulus-total-current", "ArrivalScheme"),
+    ("scheme", None, "ArrivalScheme"), ("quad", None, "QuadratureSpec"),
+    ("quad", {"rel_tol": 1e-9}, "QuadratureSpec"),
+    ("output_dir", None, "path-like"), ("output_dir", 3, "path-like"),
+    ("output_dir", b"runs", "path-like")])
+def test_run_config_refuses_fields_of_the_wrong_type(field, value, kind):
+    with pytest.raises(ValidationError, match=f"{field} must be .*{kind}"):
+        RunConfig(**{field: value})
+
+
+def test_replace_passes_the_stored_angles_on():
+    # the derived angles are stored, so replace keeps the old physics's;
+    # empty angles derive them from the new physics
+    moved = PhysicsConfig(d=2.0)
+    assert replace(RunConfig(), physics=moved).thetas_deg \
+        == default_thetas_deg(PhysicsConfig())
+    assert replace(RunConfig(), physics=moved, thetas_deg=()).thetas_deg \
+        == default_thetas_deg(moved) == RunConfig(physics=moved).thetas_deg
+
+
 def test_validate_subcommand(capsys):
     assert main(["validate", "--preset", "I"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -71,8 +71,13 @@ def test_pi_of_t_scheme_ordering():
 
 
 def test_pi_of_phi_rejects_delta():
-    with pytest.raises(UnsupportedSchemeError):
+    with pytest.raises(UnsupportedSchemeError, match="semiclassical delta"):
         pi_of_phi(SET_I, DELTA)
+
+
+def test_pi_of_phi_names_a_scheme_of_the_wrong_type():
+    with pytest.raises(ValidationError, match="ArrivalScheme, not str"):
+        pi_of_phi(SET_I, TOTAL.value)
 
 
 def test_distribution_normalization(dist_i, dist_i_1e8):

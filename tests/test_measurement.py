@@ -305,6 +305,85 @@ def test_schemes_sharing_a_layout_keep_their_own_values(monkeypatch, fresh_m1):
     assert calls == []
 
 
+def count_cos_calls(monkeypatch):
+    """The list that every later ``np.cos`` call appends its size to."""
+    calls = []
+    original = np.cos
+
+    def counting_cos(x, *args, **kwargs):
+        calls.append(np.asarray(x).size)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counting_cos)
+    return calls
+
+
+def first_level_nodes(dist):
+    """The nodes of the first integrand call of every pass over ``dist``."""
+    return quadrature._first_levels(0.0, TWO_PI, dist.split_hints,
+                                    dist.quad.panel_order)[-1]
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0])
+@pytest.mark.parametrize("sigma0", [1e-5, 1e-6, 1e-7, 1e-8])
+def test_later_m1_passes_reuse_the_first_level_rows(monkeypatch, d, sigma0):
+    cfg = PhysicsConfig(d=d, sigma0=sigma0)
+    dist = pi_of_phi(cfg, TOTAL)
+    cos_calls = count_cos_calls(monkeypatch)
+    first = measure(dist, cfg.phi_peak)
+    assert cos_calls == [first_level_nodes(dist).size]
+    cos_calls.clear()
+    # every preset m1 pass is accepted at the first level, so a later
+    # angle and the density matrix compute no cos at all
+    assert measure(dist, cfg.phi_peak) == first
+    measure(dist, 0.5)
+    density_matrix(dist)
+    assert cos_calls == []
+
+
+def test_kept_rows_are_read_only():
+    dist = pi_of_phi(SET_I, TOTAL)
+    measure(dist, 0.0)
+    nodes = first_level_nodes(dist)
+    rows = dist._moment_integrand(nodes)
+    assert rows.shape == (3, nodes.size)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[1, 0] = 0.0
+    # equal nodes in a new array find the same rows
+    assert dist._moment_integrand(nodes.copy()) is rows
+
+
+def test_evicted_layouts_still_reuse_the_first_level_rows(monkeypatch,
+                                                          fresh_m1):
+    # each kept row set is found again by value once the memo has
+    # rebuilt its nodes as a new array
+    dists = [pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), ArrivalScheme(s))
+             for d, sigma0, s in FRESH_CELLS]
+    for dist in dists:
+        _first_moment(dist)
+    quadrature._first_levels.cache_clear()
+    cos_calls = count_cos_calls(monkeypatch)
+    got = [repr(_first_moment(dist)) for dist in dists]
+    assert cos_calls == []
+    assert got == [fresh_m1[cell] for cell in FRESH_CELLS]
+
+
+def test_schemes_sharing_a_layout_keep_their_own_rows(monkeypatch, fresh_m1):
+    d, sigma0 = SHARED_KEY_CELL
+    cfg = PhysicsConfig(d=d, sigma0=sigma0)
+    dists = [pi_of_phi(cfg, TOTAL), pi_of_phi(cfg, SCH)]
+    expected = [fresh_m1[(d, sigma0, s.value)] for s in (TOTAL, SCH)]
+    assert expected[0] != expected[1]
+    assert [repr(_first_moment(dist)) for dist in dists] == expected
+    cos_calls = count_cos_calls(monkeypatch)
+    # the later passes, in either order, each read their own rows
+    assert [repr(_first_moment(dist)) for dist in dists] == expected
+    assert [repr(_first_moment(dist)) for dist in dists[::-1]] \
+        == expected[::-1]
+    assert cos_calls == []
+
+
 @pytest.mark.parametrize("d", [1.0, 2.0])
 @pytest.mark.parametrize("sigma0", [1e-5, 1e-6, 1e-7, 1e-8])
 def test_momentum_oracle_on_preset_cells(d, sigma0):

@@ -6,6 +6,7 @@ pipeline rejects with a typed error, or that lose more than 1e-6 of their
 mass beyond one turn, are assumed away.
 """
 
+import math
 import subprocess
 import sys
 import warnings
@@ -15,10 +16,12 @@ import numpy as np
 from convolution_oracle import convolution_probs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from momentum_oracle import momentum_m1
 
 from qclock import (ArrivalScheme, PhysicsConfig, QClockError,
-                    density_matrix, measure, pi_of_phi)
+                    density_matrix, exit_current_grid, measure, pi_of_phi)
 from qclock.distribution import TWO_PI
+from qclock.measurement import _first_moment
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -46,6 +49,27 @@ def test_moment_identity_on_valid_configs(d, u, B, sigma0, theta):
     assert 0.0 <= res.p_plus <= 1.0
     assert 0.0 <= res.p_minus <= 1.0
     assert np.all(np.linalg.eigvalsh(density_matrix(dist)) >= -1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(d=st.floats(0.1, 5.0), u=log_uniform(4.0, 6.0), B=log_uniform(0.0, 2.0),
+       sigma0=log_uniform(-9.0, -3.0))
+def test_schrodinger_m1_matches_the_momentum_oracle(d, u, B, sigma0):
+    # the oracle integrates over all t, so the mass already past the exit
+    # at t = 0 must be negligible; sigma0/d <= 1e-2 in these ranges
+    assert 0.5 * math.erfc(d / (math.sqrt(2.0) * sigma0)) < 1e-13
+    try:
+        cfg = PhysicsConfig(d=d, u=u, B=B, sigma0=sigma0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            dist = pi_of_phi(cfg, ArrivalScheme.MODULUS_SCHRODINGER_CURRENT)
+    except QClockError:
+        assume(False)
+    # the oracle integrates J_x over all t, the package |J_x| over one turn
+    assume(dist.truncated_tail_mass <= 1e-13)
+    jx, _jz = exit_current_grid(cfg, dist.nodes / (2.0 * cfg.omega))
+    assume(np.all(jx >= 0.0))
+    assert abs(_first_moment(dist) - momentum_m1(cfg)) <= 1e-9
 
 
 _FAILING_PROPERTY = """
