@@ -21,8 +21,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .distribution import (ArrivalScheme, peak_phi, pi_of_phi, variance_phi,
-                           write_distribution_csv)
+from .distribution import (ArrivalScheme, peak_phi, pi_of_phi, scheme_weight,
+                           variance_phi, write_distribution_csv)
 from .distribution import write_text_atomic as _write_text
 from .errors import (ConfigParseError, ConvergenceError,
                      DegenerateDistributionError, DomainError, QClockError,
@@ -60,9 +60,13 @@ class RunConfig:
     """Everything one invocation needs: physics, scheme, sweep axes, output.
 
     ``physics`` is stored with the ladder's first sigma0, every sigma0 and
-    angle as a Python float, and ``output_dir`` (a ``str`` or path-like)
-    as a ``Path``, so equal runs compare and serialize equal.  A field of
-    any other type raises ``ValidationError`` before any cell runs.
+    angle as a Python float (an angle of -0.0 as 0.0), and ``output_dir``
+    (a ``str`` or path-like) as a ``Path``, so equal runs compare and
+    serialize equal.  A field of any other type raises ``ValidationError``
+    before any cell runs, and ``SEMICLASSICAL_DELTA``, which has no
+    density to compute, raises ``UnsupportedSchemeError`` as
+    ``pi_of_phi`` does.  ``cells`` holds each ladder sigma0's validated
+    ``PhysicsConfig``, in ladder order; it is derived, not a field.
     Empty ``thetas_deg`` (the default) stores ``default_thetas_deg`` of
     that physics.  The stored angles are a field like any other, so
     ``dataclasses.replace(cfg, physics=...)`` passes them on unchanged,
@@ -79,7 +83,6 @@ class RunConfig:
 
     def __post_init__(self):
         for name, kind in (("physics", PhysicsConfig),
-                           ("scheme", ArrivalScheme),
                            ("quad", QuadratureSpec)):
             value = getattr(self, name)
             if not isinstance(value, kind):
@@ -93,21 +96,24 @@ class RunConfig:
         if not self.sigma0_ladder:
             raise ValidationError("sigma0_ladder must not be empty")
         # each cell's physics runs the validity guard on its sigma0
-        cells = [self.physics_for(s0) for s0 in self.sigma0_ladder]
-        thetas = tuple(as_number("thetas_deg", t) for t in self.thetas_deg) \
+        cells = tuple(replace(self.physics, sigma0=s0)
+                      for s0 in self.sigma0_ladder)
+        # refuses what pi_of_phi refuses: a non-scheme, and the delta
+        scheme_weight(cells[0], self.scheme)
+        # -0.0 + 0.0 is 0.0, so -0 gets the column label of 0
+        thetas = tuple(as_number("thetas_deg", t) + 0.0
+                       for t in self.thetas_deg) \
             or default_thetas_deg(cells[0])
         for theta in thetas:
             if not 0.0 <= theta < 360.0:
                 raise ValidationError(
                     f"thetas_deg must lie in [0, 360); got {theta!r}")
         object.__setattr__(self, "physics", cells[0])
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "sigma0_ladder",
                            tuple(cell.sigma0 for cell in cells))
         object.__setattr__(self, "thetas_deg", thetas)
         object.__setattr__(self, "output_dir", Path(self.output_dir))
-
-    def physics_for(self, sigma0: float) -> PhysicsConfig:
-        return replace(self.physics, sigma0=sigma0)
 
 
 def _parse_number(raw: str, key: str, line_no: int, kind=float):
@@ -245,11 +251,11 @@ def run_table(cfg: RunConfig) -> Path:
                               "analyzer angles", "deg", "table column label")
     thetas_rad = [math.radians(t) for t in cfg.thetas_deg]
 
-    def cell(sigma0: float):
-        dist = pi_of_phi(cfg.physics_for(sigma0), cfg.scheme, cfg.quad)
+    def cell(physics: PhysicsConfig):
+        dist = pi_of_phi(physics, cfg.scheme, cfg.quad)
         return [measure(dist, theta) for theta in thetas_rad]
 
-    rows = [cell(sigma0) for sigma0 in cfg.sigma0_ladder]
+    rows = [cell(physics) for physics in cfg.cells]
 
     header = ["sigma0_cm"]
     for label in labels:
@@ -275,15 +281,15 @@ def run_curve(cfg: RunConfig) -> list[Path]:
                      lambda sigma0: f"curve_sigma0_{_sigma_tag(sigma0)}.csv",
                      "sigma0 values", "cm", "output file")
 
-    def cell(sigma0: float):
-        dist = pi_of_phi(cfg.physics_for(sigma0), cfg.scheme, cfg.quad)
+    def cell(physics: PhysicsConfig):
+        dist = pi_of_phi(physics, cfg.scheme, cfg.quad)
         # the norm check and the tabulation run on first read (peak_phi
         # reads the tabulation): read both here, so that a failure in
         # either comes before any file is written
         dist.norm_check
         return dist, peak_phi(dist), variance_phi(dist)
 
-    results = [cell(sigma0) for sigma0 in cfg.sigma0_ladder]
+    results = [cell(physics) for physics in cfg.cells]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for sigma0, (dist, peak, variance) in zip(cfg.sigma0_ladder, results):
@@ -313,17 +319,16 @@ def run_compare(cfg: RunConfig) -> list[Path]:
         lambda sigma0: f"compare_{first}_sigma0_{_sigma_tag(sigma0)}.csv",
         "sigma0 values", "cm", "output file")
     thetas_rad = [math.radians(t) for t in cfg.thetas_deg]
-    cells = [(scheme, sigma0) for scheme in _COMPARE_SCHEMES
-             for sigma0 in cfg.sigma0_ladder]
+    cells = [(scheme, physics) for scheme in _COMPARE_SCHEMES
+             for physics in cfg.cells]
 
-    reports = [deviation_report(cfg.physics_for(sigma0), scheme, thetas_rad,
-                                cfg.quad)
-               for scheme, sigma0 in cells]
+    reports = [deviation_report(physics, scheme, thetas_rad, cfg.quad)
+               for scheme, physics in cells]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for (scheme, sigma0), rows in zip(cells, reports):
+    for (scheme, physics), rows in zip(cells, reports):
         path = cfg.output_dir / \
-            f"compare_{scheme.value}_sigma0_{_sigma_tag(sigma0)}.csv"
+            f"compare_{scheme.value}_sigma0_{_sigma_tag(physics.sigma0)}.csv"
         write_deviation_csv(rows, path)
         paths.append(path)
     return paths
@@ -362,13 +367,25 @@ def _add_common_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--rel-tol", type=float, help="quadrature tolerance")
 
 
+def _config_text(path: Path) -> str:
+    """A config file's text; ``ConfigParseError``, naming the file and
+    line, for bytes that are not UTF-8."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(
+            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+            line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _assemble(args: argparse.Namespace) -> RunConfig:
     """One RunConfig from --preset, then --config, then the other flags;
     a later source wins, and only the merged settings are validated."""
     settings = {"d": PRESETS[args.preset]} if args.preset else {}
     if args.config is not None:
         # compare writes both current schemes and has no --scheme flag either
-        settings.update(_read_config(args.config.read_text(encoding="utf-8"),
+        settings.update(_read_config(_config_text(args.config),
                                      allow_scheme=args.command != "compare"))
     flags = {"sigma0": args.sigma0, "thetas_deg": args.theta_deg,
              "scheme": args.scheme and ArrivalScheme.from_name(args.scheme),

@@ -14,7 +14,7 @@ import enum
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, Optional
@@ -67,10 +67,13 @@ class AngularDistribution:
     """Normalized angular density on [0, 2*pi], tabulated on first read.
 
     ``density_fn`` is the continuous normalized density used by every
-    downstream integral.  Given exactly the nodes of the normalization
-    pass's first level, it returns the values that pass computed, kept
-    normalized in a read-only array, instead of calling the density
-    again; a caller that writes to its result must copy it first.
+    downstream integral.  ``from_density`` keeps one read-only record of
+    the normalization pass's first level: its nodes and the rows
+    [w, w*cos, w*sin] of the normalized density w there.  Given exactly
+    those nodes, ``density_fn`` returns row 0 and ``first_moment``'s
+    integrand all three rows, instead of calling the density again; a
+    caller that writes to either must copy it first.  No observable is
+    kept: each m1 pass runs anew from the record.
     ``norm_constant`` is the unnormalized total that was divided out;
     ``nodes`` holds the accepted abscissas of that normalization pass;
     ``quad`` is the spec it was built with, which every observable reuses.
@@ -83,9 +86,7 @@ class AngularDistribution:
     self-test.  A ``ConvergenceError`` of that self-test therefore
     surfaces on first read of ``norm_check``, and a density that dips
     below zero, or is not finite, only between the nodes raises
-    ``ValidationError`` on first read of ``density``.  The first m1 pass
-    (``measure``, ``density_matrix``) likewise keeps the rows of its
-    first level, read-only, for every later one; m1 itself is not kept.
+    ``ValidationError`` on first read of ``density``.
     """
 
     density_fn: Callable[[np.ndarray], np.ndarray]
@@ -95,6 +96,7 @@ class AngularDistribution:
     split_hints: tuple
     truncated_tail_mass: float
     meta: Mapping[str, str]
+    _first_level: Optional[tuple] = field(default=None, repr=False)
 
     @classmethod
     def from_density(cls, fn: Callable[[np.ndarray], np.ndarray],
@@ -110,13 +112,13 @@ class AngularDistribution:
         elementwise: a point's value may not depend on which other points
         share the call, since the quadrature evaluates many panels' nodes
         in one call.  The pass's first call, on the nodes of its hint
-        panels and their first bisection, is kept divided by the norm:
-        every later pass over the distribution (``measure``,
-        ``density_matrix``, ``mean_phi``, ``variance_phi``) starts from
-        those nodes, and ``density_fn`` returns the kept values for them,
-        found by identity or else by equal values, so that their first
-        level calls ``fn`` no more.  Because ``fn`` is elementwise these
-        are the values it would return.  ``split_hints`` must *bracket* any
+        panels and their first bisection, is kept divided by the norm,
+        with its cos and sin moment rows: every later pass over the
+        distribution (``measure``, ``density_matrix``, ``mean_phi``,
+        ``variance_phi``) starts from those nodes, found by identity or
+        else by equal values, so that its first level calls ``fn`` no
+        more.  Because ``fn`` is elementwise these are the values it
+        would return.  ``split_hints`` must *bracket* any
         feature much narrower than the domain, not merely mark it: panels
         whose nodes all miss a spike evaluate to zero and get accepted as
         converged.  Use a ladder of points on both flanks (see
@@ -147,19 +149,20 @@ class AngularDistribution:
                 f"density integrates to {total.value!r}; nothing to normalize")
         norm = total.value
         first_nodes, first_values = first_call
-        first_values = first_values / norm
-        first_values.flags.writeable = False
+        first_rows = _moment_rows(first_nodes, first_values / norm)
+        first_rows.flags.writeable = False
 
         def density_fn(phi, _fn=fn, _norm=norm):
             phi = np.asarray(phi, dtype=np.float64)
             # fn is elementwise, so these are the values it would give
             if _same_nodes(phi, first_nodes):
-                return first_values
+                return first_rows[0]
             return np.asarray(_fn(phi)) / _norm
 
         return cls(density_fn=density_fn, norm_constant=norm,
                    nodes=total.nodes, quad=quad, split_hints=hints,
-                   truncated_tail_mass=0.0, meta=dict(meta) if meta else {})
+                   truncated_tail_mass=0.0, meta=dict(meta) if meta else {},
+                   _first_level=(first_nodes, first_rows))
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -179,36 +182,6 @@ class AngularDistribution:
         return integrate(self.density_fn, 0.0, TWO_PI, check_spec,
                          self.split_hints)
 
-    @cached_property
-    def _moment_integrand(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The stacked integrand [w, w*cos, w*sin] of the first
-        trigonometric moment, as a k-row quadrature integrand.
-
-        The rows of its first call, on the first level of the first pass,
-        are kept read-only and returned again for those nodes, found as
-        ``density_fn`` finds its kept values; every later pass (another
-        analyzer angle, the density matrix) starts from the same nodes,
-        so only a deeper level computes cos and sin.  The rows are filled
-        in place (cos*w is w*cos to the bit).
-        """
-        fn = self.density_fn
-        first = []
-
-        def stacked(phi):
-            if first and _same_nodes(phi, first[0]):
-                return first[1]
-            w = fn(phi)
-            rows = np.empty((3, phi.size), dtype=np.result_type(w, phi))
-            rows[0] = w
-            np.multiply(np.cos(phi, out=rows[1]), w, out=rows[1])
-            np.multiply(np.sin(phi, out=rows[2]), w, out=rows[2])
-            if not first:
-                rows.flags.writeable = False
-                first.extend((phi, rows))
-            return rows
-
-        return stacked
-
 
 def _uniform_grid() -> np.ndarray:
     """The uniform part of the plot grid."""
@@ -220,6 +193,16 @@ def _same_nodes(phi: np.ndarray, nodes: np.ndarray) -> bool:
     values, as when the layout memo has rebuilt them as a new array."""
     return phi is nodes or (phi.shape == nodes.shape
                             and np.array_equal(phi, nodes))
+
+
+def _moment_rows(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The rows [w, w*cos, w*sin] of the first trigonometric moment's
+    integrand at ``phi``, filled in place (cos*w is w*cos to the bit)."""
+    rows = np.empty((3, phi.size), dtype=np.result_type(w, phi))
+    rows[0] = w
+    np.multiply(np.cos(phi, out=rows[1]), w, out=rows[1])
+    np.multiply(np.sin(phi, out=rows[2]), w, out=rows[2])
+    return rows
 
 
 def _check_nonnegative(values: np.ndarray) -> None:
@@ -248,8 +231,12 @@ def bracketing_hints(center: float, width: float) -> tuple:
     return tuple(sorted(p for p in points if 0.0 < p < TWO_PI))
 
 
-def _scheme_weight(cfg: PhysicsConfig, scheme: ArrivalScheme):
-    """Unnormalized angular weight |J|(phi) as a vectorized callable."""
+def scheme_weight(cfg: PhysicsConfig, scheme: ArrivalScheme):
+    """Unnormalized angular weight |J|(phi) as a vectorized callable.
+
+    ``UnsupportedSchemeError`` for the semiclassical delta, which has no
+    density, and ``ValidationError`` for anything not an ``ArrivalScheme``.
+    """
     two_omega = 2.0 * cfg.omega
 
     if scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT:
@@ -280,7 +267,7 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     is attached and a warning is emitted when it exceeds 1e-6.
     """
     quad = quad or QuadratureSpec()
-    weight = _scheme_weight(cfg, scheme)
+    weight = scheme_weight(cfg, scheme)
     spike_width = 2.0 * cfg.omega * width(cfg, cfg.transit_time).sigma_t / cfg.u
     hints = bracketing_hints(cfg.phi_peak, spike_width)
     meta = {
@@ -341,6 +328,28 @@ def peak_phi(dist: AngularDistribution) -> float:
         lo = xs[max(j - 1, 0)]
         hi = xs[min(j + 1, _PEAK_POINTS - 1)]
     return 0.5 * (lo + hi)
+
+
+def first_moment(dist: AngularDistribution) -> complex:
+    """m1 = C + iS, the density's average of exp(i*phi).
+
+    One adaptive pass over the stacked integrand [w, w*cos, w*sin]: the
+    density w dominates both trigonometric rows, so panels are accepted
+    against the mass row and C and S share its panels and evaluations.
+    The pass's first level is the normalization pass's, whose rows
+    ``from_density`` kept; so only a deeper level calls the density or
+    computes cos and sin.  On the preset cells none does.  m1 itself is
+    not kept: every call runs the pass.
+    """
+    nodes, rows = dist._first_level or (None, None)
+
+    def stacked(phi):
+        if nodes is not None and _same_nodes(phi, nodes):
+            return rows
+        return _moment_rows(phi, dist.density_fn(phi))
+
+    _mass, c, s = integrate(stacked, 0.0, TWO_PI, dist.quad, dist.split_hints)
+    return complex(c, s)
 
 
 def mean_phi(dist: AngularDistribution) -> float:

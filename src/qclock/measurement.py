@@ -21,9 +21,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distribution import (TWO_PI, AngularDistribution, ArrivalScheme,
-                           pi_of_phi, write_text_atomic)
+                           first_moment, pi_of_phi, write_text_atomic)
 from .errors import DomainError
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec
 from .wavepacket import PhysicsConfig
 
 
@@ -41,27 +41,10 @@ def _check_theta(theta: float) -> None:
         raise DomainError("theta must lie in [0, 2*pi)")
 
 
-def _first_moment(dist: AngularDistribution) -> complex:
-    """m1 = C + iS, the density's average of exp(i*phi).
-
-    One adaptive pass over the stacked integrand [w, w*cos, w*sin]: the
-    density w dominates both trigonometric rows, so panels are accepted
-    against the mass row and C and S share its panels and evaluations.
-    The pass's first level is the normalization pass's, whose density
-    values ``density_fn`` has kept, and the distribution keeps the rows
-    that the first m1 pass builds there; so only a deeper level calls the
-    kernel or computes cos and sin.  On the preset cells none does, and a
-    later m1 costs one pass over kept rows.
-    """
-    _mass, c, s = integrate(dist._moment_integrand, 0.0, TWO_PI, dist.quad,
-                            dist.split_hints)
-    return complex(c, s)
-
-
 def measure(dist: AngularDistribution, theta: float) -> MeasurementResult:
     """Both channel probabilities at analyzer azimuth theta, from one m1."""
     _check_theta(theta)
-    m1 = _first_moment(dist)
+    m1 = first_moment(dist)
     proj = m1.real * math.cos(theta) + m1.imag * math.sin(theta)
     return MeasurementResult(theta=theta, p_plus=0.5 * (1.0 + proj),
                              p_minus=0.5 * (1.0 - proj))
@@ -89,7 +72,7 @@ def density_matrix(dist: AngularDistribution) -> np.ndarray:
     The density is normalized, so both diagonals are 1/2; the off-diagonals
     are m1/2 and its conjugate.
     """
-    m1 = _first_moment(dist)
+    m1 = first_moment(dist)
     return np.array([[0.5, 0.5 * m1.conjugate()],
                      [0.5 * m1, 0.5]], dtype=np.complex128)
 

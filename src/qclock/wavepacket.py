@@ -77,6 +77,9 @@ class PhysicsConfig:
             raise ValidationError("derived wave number k = m0*u/hbar is not finite and positive")
         if not math.isfinite(self.omega) or self.omega <= 0.0:
             raise ValidationError("derived precession rate omega = mu*B/hbar is not finite and positive")
+        # width() divides by this
+        if 2.0 * self.m0 * self.sigma0 * self.sigma0 == 0.0:
+            raise ValidationError("derived spreading scale 2*m0*sigma0^2 underflows to 0")
         exit_width = width(self, self.transit_time).sigma_t
         if not exit_width < self.d / 2.0:
             raise ValidationError(

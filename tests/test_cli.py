@@ -11,7 +11,8 @@ from qclock.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE,
                         EXIT_VALIDATION, RunConfig, default_thetas_deg, main,
                         parse_config, run_curve, run_table, serialize)
 from qclock.distribution import ArrivalScheme
-from qclock.errors import ConfigParseError, ConvergenceError, ValidationError
+from qclock.errors import (ConfigParseError, ConvergenceError,
+                           UnsupportedSchemeError, ValidationError)
 from qclock.quadrature import QuadratureSpec
 
 
@@ -214,6 +215,40 @@ def test_run_config_refuses_fields_of_the_wrong_type(field, value, kind):
         RunConfig(**{field: value})
 
 
+def test_run_config_keeps_each_cell_physics():
+    cfg = RunConfig(physics=PhysicsConfig(d=2.0), sigma0_ladder=(1e-6, 1e-7))
+    assert cfg.cells == (PhysicsConfig(d=2.0, sigma0=1e-6),
+                         PhysicsConfig(d=2.0, sigma0=1e-7))
+    assert cfg.cells[0] is cfg.physics
+    # derived, so neither compared nor passed on by replace
+    assert replace(cfg, sigma0_ladder=(1e-8,)).cells \
+        == (PhysicsConfig(d=2.0, sigma0=1e-8),)
+
+
+def test_negative_zero_angle_is_stored_as_zero(tmp_path, capsys):
+    (theta,) = RunConfig(thetas_deg=(-0.0,)).thetas_deg
+    assert math.copysign(1.0, theta) == 1.0
+    code = main(["table", "--theta-deg", "0", "--theta-deg", "-0",
+                 "--sigma0", "1e-6", "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "share the table column label 0.00000" in capsys.readouterr().err
+    assert not (tmp_path / "table.csv").exists()
+    for command in ("table", "compare"):
+        assert main([command, "--theta-deg", "-0", "--sigma0", "1e-6",
+                     "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "table.csv").read_text().startswith(
+        "sigma0_cm,p_plus_0.00000,p_minus_0.00000\n")
+    compare = tmp_path / "compare_modulus-total-current_sigma0_1em06.csv"
+    assert compare.read_text().splitlines()[1].startswith("0,")
+
+
+def test_run_config_refuses_the_semiclassical_delta():
+    with pytest.raises(UnsupportedSchemeError, match="no finite density"):
+        RunConfig(scheme=ArrivalScheme.SEMICLASSICAL_DELTA)
+    with pytest.raises(UnsupportedSchemeError, match="no finite density"):
+        parse_config("scheme = semiclassical-delta\n")
+
+
 def test_replace_passes_the_stored_angles_on():
     # the derived angles are stored, so replace keeps the old physics's;
     # empty angles derive them from the new physics
@@ -247,10 +282,19 @@ def test_exit_code_parse_error(tmp_path, capsys):
 def test_exit_code_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for line, message in (("d = -1", "d must be positive"),
-                          ("panel_order = 65", "panel_order must be")):
+                          ("panel_order = 65", "panel_order must be"),
+                          ("sigma0 = 1e-160", "2*m0*sigma0^2 underflows")):
         bad.write_text(f"{line}\n")
         assert main(["validate", "--config", str(bad)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+
+def test_exit_code_non_utf8_config(tmp_path, capsys):
+    cfgfile = tmp_path / "latin1.cfg"
+    cfgfile.write_bytes("sigma0 = 1e-6\n# café\n".encode("latin-1"))
+    assert main(["validate", "--config", str(cfgfile)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "line 2" in err and str(cfgfile) in err and "UTF-8" in err
 
 
 def test_exit_code_missing_config_file(tmp_path, capsys):
@@ -260,7 +304,7 @@ def test_exit_code_missing_config_file(tmp_path, capsys):
 
 
 def test_exit_code_delta_scheme_curve(tmp_path, capsys):
-    for command in ("curve", "table"):
+    for command in ("curve", "table", "validate"):
         code = main([command, "--scheme", "semiclassical-delta",
                      "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
@@ -461,7 +505,9 @@ def test_compare_rejects_scheme_key(tmp_path, capsys, scheme):
     err = capsys.readouterr().err
     assert "line 1" in err and "both current schemes" in err
     assert not out.exists()
-    assert main(["validate", "--config", str(cfgfile)]) == EXIT_OK
+    # validate takes the key, and refuses the delta as table and curve do
+    assert main(["validate", "--config", str(cfgfile)]) == (
+        EXIT_VALIDATION if scheme == "semiclassical-delta" else EXIT_OK)
 
 
 # key: (config line, flag, read from the run, then the value from
@@ -475,10 +521,10 @@ PRECEDENCE = {
                    lambda cfg: cfg.thetas_deg,
                    default_thetas_deg(PhysicsConfig(d=2.0)), (42.0,), (10.0,)),
     "scheme": ("scheme = modulus-schrodinger-current",
-               ["--scheme", "semiclassical-delta"], lambda cfg: cfg.scheme,
+               ["--scheme", "modulus-total-current"], lambda cfg: cfg.scheme,
                ArrivalScheme.MODULUS_TOTAL_CURRENT,
                ArrivalScheme.MODULUS_SCHRODINGER_CURRENT,
-               ArrivalScheme.SEMICLASSICAL_DELTA),
+               ArrivalScheme.MODULUS_TOTAL_CURRENT),
     "rel_tol": ("rel_tol = 1e-9", ["--rel-tol", "1e-8"],
                 lambda cfg: cfg.quad.rel_tol, 1e-10, 1e-9, 1e-8),
     "out": ("out = from_file", ["--out", "from_flag"],

@@ -11,7 +11,7 @@ from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     write_distribution_csv)
 from qclock import distribution
 from qclock.cli import DEFAULT_SIGMA0_LADDER, PRESETS, RunConfig, run_table
-from qclock.distribution import TWO_PI, _scheme_weight
+from qclock.distribution import TWO_PI, scheme_weight
 from qclock.errors import (AmbiguousPeakError, DegenerateDistributionError,
                            UnsupportedSchemeError, ValidationError)
 from qclock.quadrature import QuadratureSpec
@@ -49,7 +49,7 @@ def dist_i_1e8():
 def arrival_density(cfg, scheme, t):
     """Unnormalized arrival-time density at transit time t: the scheme's
     angular weight at phi = 2*omega*t."""
-    return float(_scheme_weight(cfg, scheme)(np.array([2.0 * cfg.omega * t]))[0])
+    return float(scheme_weight(cfg, scheme)(np.array([2.0 * cfg.omega * t]))[0])
 
 
 def test_pi_of_t_at_transit_time():

@@ -15,8 +15,7 @@ from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     distribution, mean_phi, measure, pi_of_phi, quadrature,
                     round_half_away, semiclassical_prediction, variance_phi)
 from qclock.cli import default_thetas_deg
-from qclock.distribution import TWO_PI
-from qclock.measurement import _first_moment
+from qclock.distribution import TWO_PI, first_moment
 from qclock.errors import DomainError
 
 SET_I = PhysicsConfig()
@@ -233,6 +232,7 @@ def count_kernel_calls(monkeypatch):
 def test_moment_passes_reuse_the_norm_pass(monkeypatch, d, sigma0):
     dist = pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), TOTAL)
     calls = count_kernel_calls(monkeypatch)
+    measure(dist, 0.5)
     density_matrix(dist)
     mean_phi(dist)
     assert calls == []
@@ -253,11 +253,11 @@ SHARED_KEY_CELL = (2.0, 1e-7)
 _FRESH_M1_SCRIPT = """
 import sys
 from qclock import ArrivalScheme, PhysicsConfig, pi_of_phi
-from qclock.measurement import _first_moment
+from qclock.distribution import first_moment
 args = sys.argv[1:]
 for d, sigma0, scheme in zip(args[0::3], args[1::3], args[2::3]):
     cfg = PhysicsConfig(d=float(d), sigma0=float(sigma0))
-    print(repr(_first_moment(pi_of_phi(cfg, ArrivalScheme(scheme)))))
+    print(repr(first_moment(pi_of_phi(cfg, ArrivalScheme(scheme)))))
 """
 
 
@@ -277,32 +277,38 @@ def fresh_m1():
 
 
 def test_evicted_layouts_still_reuse_the_norm_pass(monkeypatch, fresh_m1):
-    # the stored nodes are found again by value once the memo has rebuilt
-    # their layout as a new array
+    # the kept first level is found again by value once the memo has
+    # rebuilt its nodes as a new array
     quadrature._first_levels.cache_clear()
     dists = [pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), ArrivalScheme(s))
              for d, sigma0, s in FRESH_CELLS]
     misses = quadrature._first_levels.cache_info().misses
-    calls = count_kernel_calls(monkeypatch)
-    got = [repr(_first_moment(dist)) for dist in dists]
+    kernel_calls = count_kernel_calls(monkeypatch)
+    cos_calls = count_cos_calls(monkeypatch)
+    got = [repr(first_moment(dist)) for dist in dists]
     assert quadrature._first_levels.cache_info().misses > misses
-    assert calls == []
     assert got == [fresh_m1[cell] for cell in FRESH_CELLS]
+    # and again once every layout has been dropped
+    quadrature._first_levels.cache_clear()
+    assert [repr(first_moment(dist)) for dist in dists] == got
+    assert kernel_calls == [] and cos_calls == []
 
 
 def test_schemes_sharing_a_layout_keep_their_own_values(monkeypatch, fresh_m1):
     d, sigma0 = SHARED_KEY_CELL
     cfg = PhysicsConfig(d=d, sigma0=sigma0)
-    total = pi_of_phi(cfg, TOTAL)
-    schrodinger = pi_of_phi(cfg, SCH)
-    assert total.split_hints == schrodinger.split_hints
-    assert total.quad == schrodinger.quad
+    dists = [pi_of_phi(cfg, TOTAL), pi_of_phi(cfg, SCH)]
+    assert dists[0].split_hints == dists[1].split_hints
+    assert dists[0].quad == dists[1].quad
     expected = [fresh_m1[(d, sigma0, s.value)] for s in (TOTAL, SCH)]
     assert expected[0] != expected[1]
-    calls = count_kernel_calls(monkeypatch)
-    assert [repr(_first_moment(total)),
-            repr(_first_moment(schrodinger))] == expected
-    assert calls == []
+    kernel_calls = count_kernel_calls(monkeypatch)
+    cos_calls = count_cos_calls(monkeypatch)
+    # the passes, in either order, each read their own distribution's rows
+    assert [repr(first_moment(dist)) for dist in dists] == expected
+    assert [repr(first_moment(dist)) for dist in dists[::-1]] \
+        == expected[::-1]
+    assert kernel_calls == [] and cos_calls == []
 
 
 def count_cos_calls(monkeypatch):
@@ -328,60 +334,38 @@ def first_level_nodes(dist):
 @pytest.mark.parametrize("sigma0", [1e-5, 1e-6, 1e-7, 1e-8])
 def test_later_m1_passes_reuse_the_first_level_rows(monkeypatch, d, sigma0):
     cfg = PhysicsConfig(d=d, sigma0=sigma0)
-    dist = pi_of_phi(cfg, TOTAL)
     cos_calls = count_cos_calls(monkeypatch)
-    first = measure(dist, cfg.phi_peak)
+    dist = pi_of_phi(cfg, TOTAL)
+    # building the distribution computes the cos row of its first level
     assert cos_calls == [first_level_nodes(dist).size]
     cos_calls.clear()
-    # every preset m1 pass is accepted at the first level, so a later
-    # angle and the density matrix compute no cos at all
+    # every preset m1 pass is accepted at that level, so no pass computes
+    # cos again
+    first = measure(dist, cfg.phi_peak)
     assert measure(dist, cfg.phi_peak) == first
     measure(dist, 0.5)
     density_matrix(dist)
+    mean_phi(dist)
     assert cos_calls == []
 
 
 def test_kept_rows_are_read_only():
     dist = pi_of_phi(SET_I, TOTAL)
-    measure(dist, 0.0)
     nodes = first_level_nodes(dist)
-    rows = dist._moment_integrand(nodes)
+    kept_nodes, rows = dist._first_level
+    assert np.array_equal(kept_nodes, nodes)
     assert rows.shape == (3, nodes.size)
-    assert not rows.flags.writeable
-    with pytest.raises(ValueError):
-        rows[1, 0] = 0.0
-    # equal nodes in a new array find the same rows
-    assert dist._moment_integrand(nodes.copy()) is rows
-
-
-def test_evicted_layouts_still_reuse_the_first_level_rows(monkeypatch,
-                                                          fresh_m1):
-    # each kept row set is found again by value once the memo has
-    # rebuilt its nodes as a new array
-    dists = [pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), ArrivalScheme(s))
-             for d, sigma0, s in FRESH_CELLS]
-    for dist in dists:
-        _first_moment(dist)
-    quadrature._first_levels.cache_clear()
-    cos_calls = count_cos_calls(monkeypatch)
-    got = [repr(_first_moment(dist)) for dist in dists]
-    assert cos_calls == []
-    assert got == [fresh_m1[cell] for cell in FRESH_CELLS]
-
-
-def test_schemes_sharing_a_layout_keep_their_own_rows(monkeypatch, fresh_m1):
-    d, sigma0 = SHARED_KEY_CELL
-    cfg = PhysicsConfig(d=d, sigma0=sigma0)
-    dists = [pi_of_phi(cfg, TOTAL), pi_of_phi(cfg, SCH)]
-    expected = [fresh_m1[(d, sigma0, s.value)] for s in (TOTAL, SCH)]
-    assert expected[0] != expected[1]
-    assert [repr(_first_moment(dist)) for dist in dists] == expected
-    cos_calls = count_cos_calls(monkeypatch)
-    # the later passes, in either order, each read their own rows
-    assert [repr(_first_moment(dist)) for dist in dists] == expected
-    assert [repr(_first_moment(dist)) for dist in dists[::-1]] \
-        == expected[::-1]
-    assert cos_calls == []
+    # the rows are those of the moment integrand; density_fn returns
+    # row 0, also for equal nodes in a new array
+    assert np.array_equal(rows[1], np.cos(nodes) * rows[0])
+    assert np.array_equal(rows[2], np.sin(nodes) * rows[0])
+    density = dist.density_fn(nodes.copy())
+    assert np.array_equal(density, rows[0])
+    assert np.shares_memory(density, rows)
+    for kept in (rows, density):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[..., 0] = 0.0
 
 
 @pytest.mark.parametrize("d", [1.0, 2.0])
@@ -393,7 +377,7 @@ def test_momentum_oracle_on_preset_cells(d, sigma0):
     cfg = PhysicsConfig(d=d, sigma0=sigma0)
     dist = pi_of_phi(cfg, TOTAL)
     expected = momentum_m1(cfg)
-    assert abs(_first_moment(dist) - expected) <= 1e-12
+    assert abs(first_moment(dist) - expected) <= 1e-12
     for theta_deg in default_thetas_deg(cfg):
         theta = math.radians(theta_deg)
         p_plus = 0.5 * (1.0 + (expected * complex(math.cos(theta),

@@ -21,7 +21,7 @@ from momentum_oracle import momentum_m1
 from qclock import (ArrivalScheme, PhysicsConfig, QClockError,
                     density_matrix, exit_current_grid, measure, pi_of_phi)
 from qclock.distribution import TWO_PI
-from qclock.measurement import _first_moment
+from qclock.distribution import first_moment
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -69,7 +69,7 @@ def test_schrodinger_m1_matches_the_momentum_oracle(d, u, B, sigma0):
     assume(dist.truncated_tail_mass <= 1e-13)
     jx, _jz = exit_current_grid(cfg, dist.nodes / (2.0 * cfg.omega))
     assume(np.all(jx >= 0.0))
-    assert abs(_first_moment(dist) - momentum_m1(cfg)) <= 1e-9
+    assert abs(first_moment(dist) - momentum_m1(cfg)) <= 1e-9
 
 
 _FAILING_PROPERTY = """

@@ -179,6 +179,12 @@ def test_config_validity_guard():
         PhysicsConfig(sigma0=1e-9)
 
 
+@pytest.mark.parametrize("sigma0", [5e-151, 1e-160, 5e-324])
+def test_config_refuses_a_spreading_scale_that_underflows(sigma0):
+    with pytest.raises(ValidationError, match="underflows to 0"):
+        PhysicsConfig(sigma0=sigma0)
+
+
 def test_config_derived_quantities():
     assert SET_I.k == pytest.approx(SET_I.m0 * SET_I.u / SET_I.hbar, rel=1e-15)
     assert SET_I.omega == pytest.approx(SET_I.mu * SET_I.B / SET_I.hbar, rel=1e-15)
