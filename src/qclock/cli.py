@@ -13,6 +13,7 @@ failure, 5 I/O failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import math
 import os
 import sys
@@ -368,15 +369,18 @@ def _add_common_flags(parser: argparse.ArgumentParser,
 
 
 def _config_text(path: Path) -> str:
-    """A config file's text; ``ConfigParseError``, naming the file and
-    line, for bytes that are not UTF-8."""
+    """A config file's text, without one leading UTF-8 byte-order mark (as
+    some editors write); ``ConfigParseError``, naming the file and line,
+    for bytes that are not UTF-8."""
     data = path.read_bytes()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        return data.decode("utf-8")
+        return data[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
+        start = bom + exc.start
         raise ConfigParseError(
-            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
-            line=data.count(b"\n", 0, exc.start) + 1) from None
+            f"{path} is not UTF-8 text ({exc.reason} at byte {start})",
+            line=data.count(b"\n", 0, start) + 1) from None
 
 
 def _assemble(args: argparse.Namespace) -> RunConfig:

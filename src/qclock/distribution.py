@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from ._g17 import WIDTH, format_g17
-from .current import exit_current_grid
+from .current import exit_current_grid, exit_current_log_slope
 from .errors import (AmbiguousPeakError, DegenerateDistributionError,
                      UnsupportedSchemeError, ValidationError)
 from .quadrature import QuadratureSpec, hint_tuple, integrate, integrate_full
@@ -30,11 +30,16 @@ from .wavepacket import PhysicsConfig, width
 
 TWO_PI = 2.0 * math.pi
 
-#: Bracket width, rad, below which the peak search stops refining.
+#: Bracket width, rad, below which the peak search of a density without a
+#: closed-form log-slope stops refining.
 _PEAK_XTOL = 1e-12
 
 #: Evenly spaced density evaluations per peak-bracket refinement round.
 _PEAK_POINTS = 65
+
+#: The largest double below 2*pi: a peak is kept below 2*pi, which
+#: ``measure`` requires of an analyzer angle.
+_BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 
 #: Finite horizon (in units of 2*pi) for estimating the discarded mass at
 #: rotation angles beyond one full turn.
@@ -87,6 +92,11 @@ class AngularDistribution:
     surfaces on first read of ``norm_check``, and a density that dips
     below zero, or is not finite, only between the nodes raises
     ``ValidationError`` on first read of ``density``.
+
+    ``log_slope`` is None, or a scalar function of phi with the sign of
+    the density's slope, in closed form: ``pi_of_phi`` sets it to
+    d/dt ln|J| at t = phi/(2*omega).  ``peak_phi`` then finds the
+    maximum as its root, with no density call after the tabulation.
     """
 
     density_fn: Callable[[np.ndarray], np.ndarray]
@@ -97,6 +107,8 @@ class AngularDistribution:
     truncated_tail_mass: float
     meta: Mapping[str, str]
     _first_level: Optional[tuple] = field(default=None, repr=False)
+    log_slope: Optional[Callable[[float], float]] = field(default=None,
+                                                          repr=False)
 
     @classmethod
     def from_density(cls, fn: Callable[[np.ndarray], np.ndarray],
@@ -264,7 +276,10 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     The quadrature is seeded with the packet peak's rotation angle so the
     first bisections bracket the spike.  Mass at angles beyond one full
     turn is discarded; a finite-horizon estimate of the discarded fraction
-    is attached and a warning is emitted when it exceeds 1e-6.
+    is attached and a warning is emitted when it exceeds 1e-6.  The
+    distribution's ``log_slope`` is phi -> d/dt ln of the scheme's |J| at
+    t = phi/(2*omega) (``exit_current_log_slope``, with the spin part for
+    the total current); jx > 0 for t >= 0, so |jx| = jx.
     """
     quad = quad or QuadratureSpec()
     weight = scheme_weight(cfg, scheme)
@@ -285,18 +300,28 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
             f"discarded rotation-angle mass beyond one turn is {tail_frac:.3e} "
             f"(finite-horizon estimate); results are biased at that level",
             stacklevel=2)
-    return replace(dist, truncated_tail_mass=tail_frac)
+    two_omega = 2.0 * cfg.omega
+    spin = scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT
+    return replace(dist, truncated_tail_mass=tail_frac,
+                   log_slope=lambda phi: exit_current_log_slope(
+                       cfg, phi / two_omega, spin))
 
 
 def peak_phi(dist: AngularDistribution) -> float:
-    """Location of the global maximum, refined between the bracketing grid
-    points by rounds of vectorized evaluation.
+    """Location of the global maximum, refined between the grid points on
+    either side of the tabulated density's largest value.
 
-    Each round evaluates the density at ``_PEAK_POINTS`` evenly spaced
-    points of the bracket and narrows it to the two spacings around the
-    largest value, until the bracket is narrower than ``_PEAK_XTOL``.
-    The bracket's midpoint is returned, so a maximum at 2*pi still gives
-    an angle below 2*pi, which ``measure`` accepts.
+    With a ``log_slope`` (every ``pi_of_phi`` distribution), the maximum
+    is the root of that closed form in this bracket, found to adjacent
+    doubles in Python floats with no density call (``_slope_root``); a
+    slope of one sign throughout gives the end it points to.  Its bits
+    therefore do not follow those of the density kernel's ``exp``.
+    Without one (``from_density``), each round evaluates the density at
+    ``_PEAK_POINTS`` evenly spaced points of the bracket and narrows it
+    to the two spacings around the largest value, until the bracket is
+    narrower than ``_PEAK_XTOL``, and the bracket's midpoint is returned.
+    Either way a maximum at 2*pi gives an angle below 2*pi, which
+    ``measure`` accepts.
 
     Raises ``AmbiguousPeakError`` when the density has no positive
     maximum, plateaus at it, or peaks at the last grid point while mass
@@ -322,12 +347,71 @@ def peak_phi(dist: AngularDistribution) -> float:
             "turn; the maximum is an edge of the cut, not a peak")
     lo = dist.grid[max(i - 1, 0)]
     hi = dist.grid[min(i + 1, dist.grid.size - 1)]
+    if dist.log_slope is not None:
+        root = _slope_root(dist.log_slope, float(lo), float(dist.grid[i]),
+                           float(hi))
+        return min(root, _BELOW_TWO_PI)
     while hi - lo > _PEAK_XTOL:
         xs = np.linspace(lo, hi, _PEAK_POINTS)
         j = int(np.argmax(dist.density_fn(xs)))
         lo = xs[max(j - 1, 0)]
         hi = xs[min(j + 1, _PEAK_POINTS - 1)]
-    return 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
+
+
+def _slope_root(slope: Callable[[float], float], lo: float, mid: float,
+                hi: float) -> float:
+    """The maximum between ``lo`` and ``hi``, the grid neighbours of the
+    grid maximum ``mid``, as a root of its log-slope ``slope``.
+
+    The sign of the slope at ``mid`` picks the half that holds the
+    maximum; a half whose far end has the same sign gives that end.
+    Otherwise Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
+    narrows the half until its ends are adjacent doubles, or the slope
+    is exactly 0, and the end with the smaller |slope| is returned.  A
+    falsi point that rounds onto an end moves one double inside, and two
+    steps in a row that do not halve the half force a bisection.  Each
+    step is deterministic float arithmetic.
+    """
+    s_mid = slope(mid)
+    if s_mid == 0.0:
+        return mid
+    if s_mid > 0.0:
+        a, sa, b, sb = mid, s_mid, hi, slope(hi)
+        if sb >= 0.0:
+            return b
+    else:
+        a, sa, b, sb = lo, slope(lo), mid, s_mid
+        if sa <= 0.0:
+            return a
+    # sa > 0 > sb throughout; fa and fb are the Illinois-scaled values
+    fa, fb, kept, slow = sa, sb, 0, 0
+    while True:
+        if slow >= 2:
+            x, slow = a + 0.5 * (b - a), 0
+        elif fa < -fb:
+            x = a + fa * (b - a) / (fa - fb)
+        else:
+            x = b + fb * (b - a) / (fa - fb)
+        x = min(max(x, math.nextafter(a, b)), math.nextafter(b, a))
+        if not a < x < b:
+            break
+        before = b - a
+        sx = slope(x)
+        if sx == 0.0:
+            return x
+        if sx > 0.0:
+            a, sa, fa = x, sx, sx
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, sb, fb = x, sx, sx
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
+        slow = slow + 1 if b - a > 0.5 * before else 0
+    return a if abs(sa) <= abs(sb) else b
 
 
 def first_moment(dist: AngularDistribution) -> complex:

@@ -1,3 +1,4 @@
+import codecs
 import math
 import time
 from dataclasses import replace
@@ -295,6 +296,26 @@ def test_exit_code_non_utf8_config(tmp_path, capsys):
     assert main(["validate", "--config", str(cfgfile)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert "line 2" in err and str(cfgfile) in err and "UTF-8" in err
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors write one; it is not part of the first key
+    text = "sigma0 = 1e-6, 1e-7\nthetas_deg = 10, 20\nB = 12\n".encode()
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    configs = [cli._assemble(cli._parser().parse_args(
+        ["validate", "--config", str(path)])) for path in (plain, marked)]
+    assert configs[1] == configs[0]
+    assert configs[1].sigma0_ladder == (1e-6, 1e-7)
+    assert main(["validate", "--config", str(marked)]) == EXIT_OK
+    # a bad byte after the mark is still named by its line and file offset
+    marked.write_bytes(codecs.BOM_UTF8 + "sigma0 = 1e-6\n# café\n".encode(
+        "latin-1"))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(marked)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "line 2" in err and "at byte 22" in err and str(marked) in err
 
 
 def test_exit_code_missing_config_file(tmp_path, capsys):
@@ -679,44 +700,44 @@ def test_compare_bytes_pinned(tmp_path):
 CURVE_SUMMARIES = {
     "I": {
         "curve_sigma0_1em05_summary.txt": """\
-peak_phi_deg = 34.947669230292064
+peak_phi_deg = 34.947669230327449
 variance_rad2 = 4.1340443058286414e-09
 truncated_tail_mass = 0
 """,
         "curve_sigma0_1em06_summary.txt": """\
-peak_phi_deg = 34.947593032574552
+peak_phi_deg = 34.947593033080572
 variance_rad2 = 4.0968796222151217e-07
 truncated_tail_mass = 0
 """,
         "curve_sigma0_1em07_summary.txt": """\
-peak_phi_deg = 34.939976660037011
+peak_phi_deg = 34.939976662477882
 variance_rad2 = 4.1004523247280738e-05
 truncated_tail_mass = 0
 """,
         "curve_sigma0_1em08_summary.txt": """\
-peak_phi_deg = 34.210140662257125
+peak_phi_deg = 34.210140687789703
 variance_rad2 = 0.0044964173108714483
 truncated_tail_mass = 3.8278544255857102e-18
 """,
     },
     "II": {
         "curve_sigma0_1em05_summary.txt": """\
-peak_phi_deg = 69.895338460633624
+peak_phi_deg = 69.895338460654898
 variance_rad2 = 1.6424564820650574e-08
 truncated_tail_mass = 0
 """,
         "curve_sigma0_1em06_summary.txt": """\
-peak_phi_deg = 69.895186065760754
+peak_phi_deg = 69.895186066161145
 variance_rad2 = 1.6387507327582189e-06
 truncated_tail_mass = 0
 """,
         "curve_sigma0_1em07_summary.txt": """\
-peak_phi_deg = 69.879953322655012
+peak_phi_deg = 69.879953324955764
 variance_rad2 = 0.00016401809297795708
 truncated_tail_mass = 0
 """,
         "curve_sigma0_1em08_summary.txt": """\
-peak_phi_deg = 68.420281320646566
+peak_phi_deg = 68.420281375579407
 variance_rad2 = 0.017985669243237228
 truncated_tail_mass = 7.9961047783153811e-15
 """,

@@ -1,6 +1,7 @@
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,6 +288,23 @@ def test_peak_at_domain_end(center):
     assert measure(dist, peak).p_plus == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("center, log_slope, want", [
+    (2.0003, lambda p: math.tanh((2.0003 - p) / 1e-4), 2.0003),
+    (TWO_PI, lambda p: 1.0, math.nextafter(TWO_PI, 0.0)),
+    (0.0, lambda p: -1.0, 0.0),
+], ids=["root", "rising-to-2pi", "falling-from-0"])
+def test_peak_from_a_log_slope(center, log_slope, want):
+    # the root of the log-slope, or the end it points to, kept below 2*pi;
+    # the hints are off-center, so no grid point lies on the root
+    spike_width = 1e-4
+    dist = AngularDistribution.from_density(
+        lambda p: np.exp(-(p - center) ** 2 / (2 * spike_width ** 2)),
+        split_hints=bracketing_hints(center + 0.3 * spike_width, spike_width))
+    peak = peak_phi(replace(dist, log_slope=log_slope))
+    assert abs(peak - want) <= math.ulp(want)
+    assert measure(dist, peak).p_plus == pytest.approx(1.0, abs=1e-7)
+
+
 #: A packet so slow that its density still rises at one full turn; nearly
 #: all of its mass arrives later and is cut off.
 RISING_AT_THE_CUT = PhysicsConfig(d=3.353, u=4.22e4, B=36.4, sigma0=2.26e-8)
@@ -305,7 +323,7 @@ def test_peak_at_the_cut_with_mass_beyond_it_is_ambiguous():
 @pytest.mark.parametrize("d", [1.0, 2.0])
 @pytest.mark.parametrize("sigma0", [1e-5, 1e-6, 1e-7, 1e-8])
 def test_peak_search_kernel_calls(monkeypatch, d, sigma0):
-    # each call is a vector of points; a one-point search loop needs 30+
+    # the closed-form log-slope's root needs no density after the grid
     dist = pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), TOTAL)
     dist.density  # the plot tabulation is one call of its own, not the search
     calls = []
@@ -315,6 +333,24 @@ def test_peak_search_kernel_calls(monkeypatch, d, sigma0):
         return exit_current_grid(cfg, t)
 
     monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
+    peak_phi(dist)
+    assert calls == []
+
+
+def test_peak_search_rounds_without_a_log_slope():
+    # each round is a vector of points; a one-point search loop needs 30+
+    center, spike_width = 2.0, 1e-5
+    calls = []
+
+    def spike(p):
+        calls.append(p.size)
+        return np.exp(-(p - center) ** 2 / (2 * spike_width ** 2))
+
+    dist = AngularDistribution.from_density(
+        spike, split_hints=bracketing_hints(center, spike_width))
+    assert dist.log_slope is None
+    dist.density  # the plot tabulation is one call of its own, not the search
+    calls.clear()
     peak_phi(dist)
     assert 1 <= len(calls) <= 8
 
@@ -411,8 +447,8 @@ def test_from_density_rejects_output_shaped_unlike_its_input(density):
 
 
 # Off-preset values that a last-bit change in the quadrature's panel sums
-# moves.  The p_plus is read at peak_phi, the argmax of a density flat to
-# rounding near its top, so a last-bit change moves it by about 1e-9.
+# moves.  The p_plus is read at peak_phi, the root of the closed-form
+# log-slope, within 1 ulp of mpmath's 5.82833775305272257 rad.
 def test_offpreset_total_scheme_tail_mass_pinned():
     dist = pi_of_phi(OFFPRESET_TAIL_CFG, TOTAL)
     assert repr(dist.truncated_tail_mass) == "5.119988921955708e-10"
@@ -423,7 +459,7 @@ def test_offpreset_schrodinger_scheme_p_plus_pinned():
         # most of this packet arrives beyond one turn, and pi_of_phi says so
         warnings.filterwarnings("ignore", "discarded rotation-angle mass")
         dist = pi_of_phi(OFFPRESET_P_PLUS_CFG, SCH)
-    assert repr(measure(dist, peak_phi(dist)).p_plus) == "0.8277286185783909"
+    assert repr(measure(dist, peak_phi(dist)).p_plus) == "0.8277286154450774"
 
 
 def test_curve_bytes_do_not_depend_on_numeric_types(tmp_path):
