@@ -17,6 +17,10 @@ jx is positive for every t >= 0 and its log-derivative is rational in t:
 the peak of the arrival density is a root found with arithmetic alone.
 The spin part of the total current adds one term; it moves the root by
 ulps only, but by more than the 4 ulp the tests hold the peak to.
+
+``exit_current_support`` is the closed-form interval of times outside
+which the kernel flushes the current to exactly 0, so that a caller can
+skip evaluating it there.
 """
 
 from __future__ import annotations
@@ -26,6 +30,50 @@ import math
 import numpy as np
 
 from .wavepacket import _EXP_FLOOR, PhysicsConfig
+
+#: How far below ``_EXP_FLOOR`` the exponent is at the ends of
+#: ``exit_current_support``, beyond the part that scales with d/sigma0.
+_SUPPORT_MARGIN = 1.0
+
+#: Exponent margin per unit of d/sigma0.  The kernel rounds d - u*t to a
+#: few ulp of d, which moves an exponent near the floor by about
+#: 37*eps*d/sigma_t; this covers 120 ulp.
+_SUPPORT_MARGIN_PER_WIDTH = 1e-12
+
+
+def exit_current_support(cfg: PhysicsConfig) -> tuple[float, float]:
+    """The interval (t_lo, t_hi), in s, of times t >= 0 outside which the
+    kernel's density exponent -(d - u*t)^2/(2*sigma0^2*(1 + c^2*t^2)),
+    c = hbar/(2*m0*sigma0^2), is below ``_EXP_FLOOR`` by at least a
+    safety margin.
+
+    ``exit_current_grid`` therefore gives jx = 0 and jz = +-0 outside it,
+    whatever its rounding.  With K = 2*L*sigma0^2 at the level L (the
+    floor's magnitude plus the margin) the ends are the roots of
+    (u^2 - K*c^2)*t^2 - 2*d*u*t + d^2 - K, taken as
+    t_hi = (d*u + r)/(u^2 - K*c^2) and t_lo = (d^2 - K)/(d*u + r) with
+    r^2 = K*(u^2 + c^2*(d^2 - K)), so that neither end cancels.  When
+    u^2 <= K*c^2 the packet spreads faster than the exponent can fall and
+    t_hi is inf; when d^2 <= K the exponent is above the level already at
+    t = 0 and t_lo is 0.  A config whose arithmetic overflows gets
+    (0, inf).  The interval always holds the transit time d/u.
+    """
+    d, u, sigma0 = cfg.d, cfg.u, cfg.sigma0
+    c = cfg.hbar / (2.0 * cfg.m0 * sigma0 * sigma0)
+    level = (-_EXP_FLOOR + _SUPPORT_MARGIN
+             + _SUPPORT_MARGIN_PER_WIDTH * d / sigma0)
+    k = 2.0 * level * sigma0 * sigma0
+    rest = d * d - k
+    disc = k * (u * u + c * c * rest)
+    root = d * u + math.sqrt(disc if disc > 0.0 else 0.0)
+    if not root > 0.0:  # d*u underflows
+        return 0.0, math.inf
+    t_lo = max(rest / root, 0.0)
+    lead = u * u - k * c * c
+    t_hi = root / lead if lead > 0.0 else math.inf
+    if not t_lo <= t_hi:  # a NaN from overflow
+        return 0.0, math.inf
+    return t_lo, t_hi
 
 
 def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):

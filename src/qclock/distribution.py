@@ -22,7 +22,8 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from ._g17 import WIDTH, format_g17
-from .current import exit_current_grid, exit_current_log_slope
+from .current import (exit_current_grid, exit_current_log_slope,
+                      exit_current_support)
 from .errors import (AmbiguousPeakError, DegenerateDistributionError,
                      UnsupportedSchemeError, ValidationError)
 from .quadrature import QuadratureSpec, hint_tuple, integrate, integrate_full
@@ -91,7 +92,16 @@ class AngularDistribution:
     self-test.  A ``ConvergenceError`` of that self-test therefore
     surfaces on first read of ``norm_check``, and a density that dips
     below zero, or is not finite, only between the nodes raises
-    ``ValidationError`` on first read of ``density``.
+    ``ValidationError`` on first read of ``density``.  ``grid`` and
+    ``density`` are read-only, since ``peak_phi`` and the curve file
+    read them.
+
+    ``support`` is the interval (phi_lo, phi_hi) outside which the
+    density is exactly +0.0.  ``density`` calls ``density_fn`` only on
+    the grid points inside it and one grid point beyond each end, and
+    fills the rest with +0.0, which are the bits ``density_fn`` would
+    give there.  ``from_density`` knows no such interval and keeps the
+    whole line; ``pi_of_phi`` sets it from ``exit_current_support``.
 
     ``log_slope`` is None, or a scalar function of phi with the sign of
     the density's slope, in closed form: ``pi_of_phi`` sets it to
@@ -109,6 +119,7 @@ class AngularDistribution:
     _first_level: Optional[tuple] = field(default=None, repr=False)
     log_slope: Optional[Callable[[float], float]] = field(default=None,
                                                           repr=False)
+    support: tuple = (-math.inf, math.inf)
 
     @classmethod
     def from_density(cls, fn: Callable[[np.ndarray], np.ndarray],
@@ -178,14 +189,30 @@ class AngularDistribution:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        return np.union1d(_uniform_grid(), self.nodes)
+        # np.union1d's array: the sorted distinct values of both
+        grid = np.concatenate((_uniform_grid(), self.nodes))
+        grid.sort(kind="stable")  # one merge of two sorted runs
+        fresh = grid[1:] != grid[:-1]
+        if not fresh.all():
+            grid = grid[np.concatenate(([True], fresh))]
+        grid.flags.writeable = False
+        return grid
 
     @cached_property
     def density(self) -> np.ndarray:
-        density = self.density_fn(self.grid)
-        if not np.all(np.isfinite(density)):
+        grid = self.grid
+        lo, hi = self.support
+        # one grid point beyond each end of the support, whose value is 0
+        start = max(int(np.searchsorted(grid, lo, side="left")) - 1, 0)
+        stop = min(int(np.searchsorted(grid, hi, side="right")) + 1,
+                   grid.size)
+        values = self.density_fn(grid[start:stop])
+        if not np.all(np.isfinite(values)):
             raise ValidationError("density is not finite somewhere on the grid")
-        _check_nonnegative(density)
+        _check_nonnegative(values)
+        density = np.zeros(grid.size, dtype=values.dtype)
+        density[start:stop] = values
+        density.flags.writeable = False
         return density
 
     @cached_property
@@ -195,9 +222,12 @@ class AngularDistribution:
                          self.split_hints)
 
 
+@lru_cache(maxsize=1)
 def _uniform_grid() -> np.ndarray:
-    """The uniform part of the plot grid."""
-    return np.linspace(0.0, TWO_PI, _GRID_POINTS)
+    """The uniform part of the plot grid, read-only: every grid shares it."""
+    uniform = np.linspace(0.0, TWO_PI, _GRID_POINTS)
+    uniform.flags.writeable = False
+    return uniform
 
 
 def _same_nodes(phi: np.ndarray, nodes: np.ndarray) -> bool:
@@ -276,7 +306,12 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     The quadrature is seeded with the packet peak's rotation angle so the
     first bisections bracket the spike.  Mass at angles beyond one full
     turn is discarded; a finite-horizon estimate of the discarded fraction
-    is attached and a warning is emitted when it exceeds 1e-6.  The
+    is attached and a warning is emitted when it exceeds 1e-6.  That
+    estimate integrates the weight over [2*pi, 8*pi] only when the
+    current's support (``exit_current_support``, mapped to phi = 2*omega*t
+    and kept as the distribution's ``support``) reaches past 2*pi;
+    otherwise the weight is +0.0 there and the estimate is 0.0, as the
+    pass would give.  The
     distribution's ``log_slope`` is phi -> d/dt ln of the scheme's |J| at
     t = phi/(2*omega) (``exit_current_log_slope``, with the spin part for
     the total current); jx > 0 for t >= 0, so |jx| = jx.
@@ -293,16 +328,20 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     }
     dist = AngularDistribution.from_density(
         weight, quad, split_hints=hints, meta=meta)
-    tail = integrate(weight, TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, quad)
+    two_omega = 2.0 * cfg.omega
+    t_lo, t_hi = exit_current_support(cfg)
+    support = (two_omega * t_lo, two_omega * t_hi)
+    # beyond the support the weight is +0.0, whose integral is 0.0
+    tail = (integrate(weight, TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, quad)
+            if support[1] > TWO_PI else 0.0)
     tail_frac = tail / (dist.norm_constant + tail)
     if tail_frac > _TAIL_WARN_LEVEL:
         warnings.warn(
             f"discarded rotation-angle mass beyond one turn is {tail_frac:.3e} "
             f"(finite-horizon estimate); results are biased at that level",
             stacklevel=2)
-    two_omega = 2.0 * cfg.omega
     spin = scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT
-    return replace(dist, truncated_tail_mass=tail_frac,
+    return replace(dist, truncated_tail_mass=tail_frac, support=support,
                    log_slope=lambda phi: exit_current_log_slope(
                        cfg, phi / two_omega, spin))
 
@@ -322,6 +361,11 @@ def peak_phi(dist: AngularDistribution) -> float:
     narrower than ``_PEAK_XTOL``, and the bracket's midpoint is returned.
     Either way a maximum at 2*pi gives an angle below 2*pi, which
     ``measure`` accepts.
+
+    The grid argmax reads the plot tabulation ``density``, which calls
+    the density only on the distribution's ``support``: for a
+    ``pi_of_phi`` distribution that is the part of the grid where the
+    current is not flushed to zero.
 
     Raises ``AmbiguousPeakError`` when the density has no positive
     maximum, plateaus at it, or peaks at the last grid point while mass
@@ -507,8 +551,7 @@ def _uniform_phi_labels() -> tuple[np.ndarray, np.ndarray]:
     """The uniform grid points and their ``format_g17`` rows."""
     uniform = _uniform_grid()
     labels = format_g17(uniform)
-    # every write shares these arrays
-    uniform.flags.writeable = labels.flags.writeable = False
+    labels.flags.writeable = False  # every write shares it
     return uniform, labels
 
 

@@ -58,6 +58,8 @@ def as_number(name, value, kind=numbers.Real):
 
     ``bool`` and anything that is not a ``kind`` raise ValidationError.
     """
+    if type(value) is float and kind is numbers.Real:
+        return value  # the common case skips the ABC checks
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a real number"
         raise ValidationError(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distribution import (TWO_PI, AngularDistribution, ArrivalScheme,
                            first_moment, pi_of_phi, write_text_atomic)
-from .errors import DomainError
+from .errors import DomainError, as_number
 from .quadrature import QuadratureSpec
 from .wavepacket import PhysicsConfig
 
@@ -36,14 +36,21 @@ class MeasurementResult:
     p_minus: float
 
 
-def _check_theta(theta: float) -> None:
+def _check_theta(theta: float) -> float:
+    """``theta`` as a Python float: ``ValidationError`` for a ``bool`` or
+    anything that is not a real number, ``DomainError`` outside
+    [0, 2*pi)."""
+    theta = as_number("theta", theta)
     if not 0.0 <= theta < TWO_PI:
         raise DomainError("theta must lie in [0, 2*pi)")
+    return theta
 
 
 def measure(dist: AngularDistribution, theta: float) -> MeasurementResult:
-    """Both channel probabilities at analyzer azimuth theta, from one m1."""
-    _check_theta(theta)
+    """Both channel probabilities at analyzer azimuth theta, from one m1;
+    theta must be a real number in [0, 2*pi), and is stored as a Python
+    float."""
+    theta = _check_theta(theta)
     m1 = first_moment(dist)
     proj = m1.real * math.cos(theta) + m1.imag * math.sin(theta)
     return MeasurementResult(theta=theta, p_plus=0.5 * (1.0 + proj),
@@ -54,10 +61,10 @@ def semiclassical_prediction(cfg: PhysicsConfig, theta: float) -> MeasurementRes
     """Reference prediction with every spin rotated by the packet peak's angle.
 
     All spins rotate by phi_peak = 2*omega*d/u, so the channel probabilities
-    are the pure-state cos^2/sin^2 half-angle laws.  theta must lie in
-    [0, 2*pi), as for ``measure``.
+    are the pure-state cos^2/sin^2 half-angle laws.  theta must be a real
+    number in [0, 2*pi), as for ``measure``.
     """
-    _check_theta(theta)
+    theta = _check_theta(theta)
     half = 0.5 * (theta - cfg.phi_peak)
     return MeasurementResult(theta=theta,
                              p_plus=math.cos(half) ** 2,

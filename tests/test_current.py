@@ -11,6 +11,8 @@ from physics_oracle import (SpinState, _spin_term, bloch, current_general,
 from qclock import (ArrivalScheme, PhysicsConfig, QClockError,
                     exit_current_grid, pi_of_phi, width)
 from qclock.cli import DEFAULT_SIGMA0_LADDER, PRESETS
+from qclock.current import exit_current_support
+from qclock.wavepacket import _EXP_FLOOR, HBAR
 
 SET_I = PhysicsConfig()
 
@@ -236,3 +238,113 @@ def test_scalar_phi_through_density_fn(scheme):
         want = np.asarray(weight) / dist.norm_constant
         assert type(got) is type(want) is np.float64
         assert bits(got) == bits(want)
+
+
+def kernel_exponent(cfg, t):
+    """The density exponent of ``exit_current_grid``, in its expressions."""
+    t = np.asarray(t, dtype=np.float64)
+    spread = cfg.hbar / (2.0 * cfg.m0 * cfg.sigma0 * cfg.sigma0) * t
+    sigma_t2 = (cfg.sigma0 * cfg.sigma0) * (1.0 + spread * spread)
+    miss = cfg.d - cfg.u * t
+    return -(miss * miss) / (2.0 * sigma_t2)
+
+
+def outside_support_times(cfg, steps=32):
+    """Times just outside ``exit_current_support``: the kernel's t at the
+    ``steps`` doubles of phi = 2*omega*t beyond each finite end (as at the
+    plot-grid points next to it), and the ``steps`` doubles of t itself."""
+    two_omega = 2.0 * cfg.omega
+    t_lo, t_hi = exit_current_support(cfg)
+    times = []
+    for end, away in ((t_lo, -math.inf), (t_hi, math.inf)):
+        if not 0.0 < end < math.inf:
+            continue
+        phi, t = two_omega * end, end
+        for _ in range(steps):
+            phi, t = math.nextafter(phi, away), math.nextafter(t, away)
+            times += [phi / two_omega, t]
+    return np.array([t for t in times if t >= 0.0])
+
+
+def assert_flushed_outside_support(cfg):
+    t = outside_support_times(cfg)
+    assert np.all(kernel_exponent(cfg, t) < _EXP_FLOOR)
+    jx, jz = exit_current_grid(cfg, t)
+    assert np.all(jx == 0.0) and np.all(jz == 0.0)
+    modulus = np.hypot(jx, jz)
+    assert np.array_equal(bits(modulus), bits(np.zeros_like(t)))
+    assert np.array_equal(bits(np.abs(jx)), bits(np.zeros_like(t)))
+    return t.size
+
+
+@pytest.mark.parametrize("cfg", PRESET_CELLS,
+                         ids=[f"d{c.d:g}-s{c.sigma0:g}" for c in PRESET_CELLS])
+def test_current_is_flushed_just_outside_its_support_on_presets(cfg):
+    t_lo, t_hi = exit_current_support(cfg)
+    assert 0.0 < t_lo < cfg.transit_time < t_hi
+    assert assert_flushed_outside_support(cfg) > 0
+    # the ends are the floor's crossings, not far beyond them
+    assert kernel_exponent(cfg, t_lo) > _EXP_FLOOR - 2.0
+    if t_hi < math.inf:
+        assert kernel_exponent(cfg, t_hi) > _EXP_FLOOR - 2.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(d=st.floats(0.01, 10.0),
+       widths=st.floats(0.4, 15.5).map(lambda e: 10.0 ** e),
+       u=st.floats(0.0, 8.0).map(lambda e: 10.0 ** e),
+       spread=st.floats(0.5, 20.0).map(lambda e: 10.0 ** e),
+       B=st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e))
+def test_current_is_flushed_just_outside_its_support(d, widths, u, spread, B):
+    # d/sigma0 up to 3e15, where rounding d - u*t moves the exponent most;
+    # m0 is set from m0*sigma0*u/hbar so that most draws are valid configs
+    sigma0 = d / widths
+    try:
+        cfg = PhysicsConfig(d=d, sigma0=sigma0, u=u, B=B,
+                            m0=spread * HBAR / (sigma0 * u))
+    except QClockError:
+        assume(False)
+    assert_flushed_outside_support(cfg)
+
+
+# Packets of d/sigma0 ~ 1e15 that barely spread, where rounding d - u*t
+# moves the kernel's exponent at the floor by up to 32 (found by a seeded
+# search): without the margin's d/sigma0 part their current is not flushed
+# just outside the support
+ROUNDING_CELLS = [
+    PhysicsConfig(d=2.930053824397662, sigma0=4.580022109448539e-16,
+                  m0=0.001660835851859392, u=12459367.301236536),
+    PhysicsConfig(d=4.5333498697157735, sigma0=5.316288834652102e-16,
+                  m0=0.004162156869194207, u=995588.547340245),
+    PhysicsConfig(d=1.8956713493640318, sigma0=5.241633169177635e-16,
+                  m0=0.012393028687131219, u=27372995.71617707),
+]
+
+
+@pytest.mark.parametrize("cfg", ROUNDING_CELLS)
+def test_current_is_flushed_just_outside_its_support_despite_rounding(cfg):
+    assert assert_flushed_outside_support(cfg) > 0
+
+
+def test_support_reaches_each_branch():
+    # t_lo = 0: the exponent at t = 0, -d^2/(2*sigma0^2), is above the floor
+    wide = PhysicsConfig(d=0.02, sigma0=1e-3)
+    assert -wide.d ** 2 / (2.0 * wide.sigma0 ** 2) > _EXP_FLOOR
+    t_lo, t_hi = exit_current_support(wide)
+    assert t_lo == 0.0 and wide.transit_time < t_hi < math.inf
+    jx, jz = exit_current_grid(wide, np.array([0.0, t_hi * 2.0, t_hi * 1e3]))
+    assert jx[0] > 0.0 and np.all(jx[1:] == 0.0) and np.all(jz[1:] == 0.0)
+    # t_hi = inf: u^2 <= 2*|floor|*sigma0^2*c^2, the packet outruns the floor
+    slow = PhysicsConfig(sigma0=5e-9, u=1e6)
+    c = slow.hbar / (2.0 * slow.m0 * slow.sigma0 ** 2)
+    assert slow.u ** 2 <= 2.0 * -_EXP_FLOOR * slow.sigma0 ** 2 * c ** 2
+    t_lo, t_hi = exit_current_support(slow)
+    assert 0.0 < t_lo < slow.transit_time and t_hi == math.inf
+    for cfg in (wide, slow):
+        assert assert_flushed_outside_support(cfg) > 0
+
+
+def test_support_of_an_overflowing_config_is_the_whole_half_line():
+    # c^2 and u^2 overflow, so neither root can be formed
+    cfg = PhysicsConfig(sigma0=1e-100, m0=1e-83, u=1e160)
+    assert exit_current_support(cfg) == (0.0, math.inf)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from library_transcript import offpreset_cells, preset_cells
 
 from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     bracketing_hints, exit_current_grid, integrate, mean_phi,
@@ -12,9 +13,11 @@ from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     write_distribution_csv)
 from qclock import distribution
 from qclock.cli import DEFAULT_SIGMA0_LADDER, PRESETS, RunConfig, run_table
+from qclock.current import exit_current_support
 from qclock.distribution import TWO_PI, scheme_weight
 from qclock.errors import (AmbiguousPeakError, DegenerateDistributionError,
-                           UnsupportedSchemeError, ValidationError)
+                           QClockError, UnsupportedSchemeError,
+                           ValidationError)
 from qclock.quadrature import QuadratureSpec
 from qclock.wavepacket import width
 
@@ -487,3 +490,118 @@ def test_from_density_stores_hints_as_python_floats():
     with pytest.raises(ValidationError, match="split_hints"):
         AngularDistribution.from_density(lambda p: np.ones_like(p),
                                          split_hints=[[1.5]])
+
+
+# The current's support: the plot tabulation and the tail pass evaluate the
+# kernel only where it is not flushed to zero, and give the same bits.
+
+def built_cells(cells):
+    """(cfg, scheme, dist) of each (physics keywords, scheme) cell that
+    ``pi_of_phi`` builds; a typed error drops the cell."""
+    built = []
+    for physics, scheme in cells:
+        try:
+            cfg = PhysicsConfig(**physics)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                built.append((cfg, scheme, pi_of_phi(cfg, scheme)))
+        except QClockError:
+            pass
+    return built
+
+
+# t_lo = 0 lies outside the fuzz box (sigma0 >= d/37 there), so these add it
+BRANCH_CELLS = [({"d": 0.02, "sigma0": 1e-3}, TOTAL),
+                ({"d": 0.05, "sigma0": 2e-3, "u": 1e5}, SCH),
+                ({"sigma0": 5e-9, "u": 1e6}, TOTAL)]
+
+
+@pytest.fixture(scope="module")
+def support_cells():
+    cells = [*preset_cells(), *offpreset_cells(480, 22), *BRANCH_CELLS]
+    return built_cells(cells)
+
+
+def test_support_cells_cover_each_branch(support_cells):
+    ends = [dist.support for _cfg, _scheme, dist in support_cells]
+    assert len(ends) >= 16 + 200 + len(BRANCH_CELLS)
+    assert any(lo == 0.0 for lo, _hi in ends)
+    assert any(hi == math.inf for _lo, hi in ends)
+    assert any(hi <= TWO_PI for _lo, hi in ends)
+    assert any(TWO_PI < hi < math.inf for _lo, hi in ends)
+
+
+def test_density_has_the_bits_of_the_whole_grid(support_cells):
+    for cfg, scheme, dist in support_cells:
+        two_omega = 2.0 * cfg.omega
+        t_lo, t_hi = exit_current_support(cfg)
+        assert dist.support == (two_omega * t_lo, two_omega * t_hi)
+        whole = dist.density_fn(dist.grid)
+        assert np.array_equal(dist.density.view(np.uint64),
+                              whole.view(np.uint64))
+
+
+def test_tail_pass_runs_only_where_the_support_passes_two_pi(support_cells):
+    skipped = 0
+    for cfg, scheme, dist in support_cells:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tail = integrate(scheme_weight(cfg, scheme), TWO_PI,
+                             4.0 * TWO_PI, dist.quad)
+        # the tail the full pass would give
+        assert repr(dist.truncated_tail_mass) == \
+            repr(tail / (dist.norm_constant + tail))
+        if dist.support[1] <= TWO_PI:  # the pass was skipped
+            skipped += 1
+            assert tail == 0.0 and math.copysign(1.0, tail) == 1.0
+    assert skipped >= 100
+
+
+def test_density_evaluates_one_grid_point_beyond_the_support():
+    # phi strictly inside (0, 2*pi) at both ends, so both ends are widened
+    dist = pi_of_phi(PhysicsConfig(sigma0=1e-7), TOTAL)
+    lo, hi = dist.support
+    assert 0.0 < lo < hi < TWO_PI
+    seen = []
+
+    def spy(phi):
+        seen.append(np.array(phi))
+        return dist.density_fn(phi)
+
+    fresh = replace(dist, density_fn=spy)
+    density = fresh.density
+    (phi,) = seen
+    grid = fresh.grid
+    start = int(np.searchsorted(grid, phi[0]))
+    assert np.array_equal(phi, grid[start:start + phi.size])
+    assert phi[0] < lo <= phi[1] and phi[-2] <= hi < phi[-1]
+    assert density[phi[0] == grid].item() == 0.0
+    assert density[phi[-1] == grid].item() == 0.0
+    assert phi.size < grid.size // 4
+    assert np.all(density[:start] == 0.0)
+    assert np.all(density[start + phi.size:] == 0.0)
+
+
+def test_from_density_tabulates_the_whole_grid():
+    dist = AngularDistribution.from_density(lambda p: 1.0 + np.cos(p))
+    assert dist.support == (-math.inf, math.inf)
+    assert np.array_equal(dist.density, dist.density_fn(dist.grid))
+
+
+def test_grid_is_the_union_of_uniform_points_and_nodes():
+    uniform = distribution._uniform_grid()
+    spike = AngularDistribution.from_density(
+        lambda p: np.exp(-(p - 1.0) ** 2 / 2e-8),
+        split_hints=bracketing_hints(1.0, 1e-4))
+    assert np.array_equal(spike.grid, np.union1d(uniform, spike.nodes))
+    # nodes that repeat uniform points, or each other, appear once
+    shared = np.concatenate((uniform[100:103], uniform[100:103], [0.5]))
+    dup = replace(spike, nodes=np.sort(shared))
+    assert np.array_equal(dup.grid, np.union1d(uniform, dup.nodes))
+    assert dup.grid.size == uniform.size + 1
+
+
+def test_cached_arrays_are_read_only(dist_i):
+    for arr in (dist_i.grid, dist_i.density, distribution._uniform_grid()):
+        with pytest.raises(ValueError):
+            arr[:] = 0.0

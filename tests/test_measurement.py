@@ -16,7 +16,7 @@ from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     round_half_away, semiclassical_prediction, variance_phi)
 from qclock.cli import default_thetas_deg
 from qclock.distribution import TWO_PI, first_moment
-from qclock.errors import DomainError
+from qclock.errors import DomainError, ValidationError
 
 SET_I = PhysicsConfig()
 SET_II = PhysicsConfig(d=2.0)
@@ -103,6 +103,24 @@ def test_semiclassical_prediction_shares_the_theta_domain(dist_1e5, theta):
         measure(dist_1e5, theta)
     with pytest.raises(DomainError):
         semiclassical_prediction(SET_I, theta)
+
+
+@pytest.mark.parametrize("theta", [True, False, "0.5", 0.5 + 0j, None])
+def test_theta_that_is_no_real_number_is_refused(dist_1e5, theta):
+    with pytest.raises(ValidationError, match="theta must be a real number"):
+        measure(dist_1e5, theta)
+    with pytest.raises(ValidationError, match="theta must be a real number"):
+        semiclassical_prediction(SET_I, theta)
+
+
+@pytest.mark.parametrize("theta", [np.float32(0.5), np.float64(0.5),
+                                   np.int64(1), 1])
+def test_theta_is_stored_as_a_python_float(dist_1e5, theta):
+    for res in (measure(dist_1e5, theta),
+                semiclassical_prediction(SET_I, theta)):
+        assert type(res.theta) is float
+        assert res.theta == float(theta)
+    assert measure(dist_1e5, theta) == measure(dist_1e5, float(theta))
 
 
 def test_density_matrix_of_spike_is_projector():
@@ -203,9 +221,10 @@ def test_kernel_calls_per_preset_cell(monkeypatch, d, sigma0):
     monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
     cfg = PhysicsConfig(d=d, sigma0=sigma0)
     dist = pi_of_phi(cfg, TOTAL)
-    # the norm pass, then one call per level of the tail integral: its
-    # mass is 0 above 1e-8 and is resolved at depth 2 (d=1) or 3 (d=2) there
-    tail_levels = {1.0: 2, 2.0: 3}[d] if sigma0 == 1e-8 else 1
+    # the norm pass, then one call per level of the tail integral, which
+    # runs only where the current's support reaches past 2*pi: at 1e-8,
+    # whose tail is resolved at depth 2 (d=1) or 3 (d=2)
+    tail_levels = {1.0: 2, 2.0: 3}[d] if sigma0 == 1e-8 else 0
     assert len(calls) == 1 + tail_levels
     calls.clear()
     # the m1 pass starts from the norm pass's first-level values, and

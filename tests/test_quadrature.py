@@ -327,19 +327,21 @@ def misses_hits(memo):
 
 
 def test_memo_keys_of_table_cells(fresh_memo, tmp_path):
-    # one cell: the hinted interval and the tail miss, the 3 angles hit
+    # one cell: the hinted interval misses, the 3 angles hit; the current
+    # ends within one turn, so no tail pass runs
     run_table(RunConfig(sigma0_ladder=(1e-7,), output_dir=tmp_path))
-    assert misses_hits(fresh_memo) == (2, 3)
-    # a second cell has new hints but shares the tail interval
+    assert misses_hits(fresh_memo) == (1, 3)
+    # a second cell has new hints
     run_table(RunConfig(sigma0_ladder=(1e-6,), output_dir=tmp_path))
-    assert misses_hits(fresh_memo) == (3, 7)
+    assert misses_hits(fresh_memo) == (2, 6)
 
 
 def test_memo_keys_of_a_curve_cell(fresh_memo, tmp_path):
-    # the hinted interval, the tail and the order+2 norm check miss; the
-    # mean and variance passes reuse the hinted interval
+    # the hinted interval and the order+2 norm check miss; the mean and
+    # variance passes reuse the hinted interval; the current ends within
+    # one turn, so no tail pass runs
     run_curve(RunConfig(sigma0_ladder=(1e-7,), output_dir=tmp_path))
-    assert misses_hits(fresh_memo) == (3, 2)
+    assert misses_hits(fresh_memo) == (2, 2)
 
 
 def test_memo_is_small():
