@@ -284,10 +284,11 @@ def run_curve(cfg: RunConfig) -> list[Path]:
 
     def cell(physics: PhysicsConfig):
         dist = pi_of_phi(physics, cfg.scheme, cfg.quad)
-        # the norm check and the tabulation run on first read (peak_phi
-        # reads the tabulation): read both here, so that a failure in
-        # either comes before any file is written
+        # the norm check and the tabulation run on first read: read both
+        # here, so that a failure in either comes before any file is
+        # written
         dist.norm_check
+        dist.density
         return dist, peak_phi(dist), variance_phi(dist)
 
     results = [cell(physics) for physics in cfg.cells]

@@ -84,8 +84,29 @@ def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):
     density factor is set to exactly 0 once its exponent drops below the
     floor, so far tails never go denormal.  A scalar ``t`` gives numpy
     scalars.
+
+    At times so late that this arithmetic overflows (past 4e141 s on the
+    presets, where (hbar*t/(2*m0*sigma0^2))^2 exceeds the largest
+    double), a component that would be inf or NaN is an exact 0 instead,
+    and no warning is emitted: there the density falls as 1/t, and the
+    drift velocity as well.  Every finite value keeps its bits, and a
+    NaN time still gives NaN.
     """
     t = np.asarray(t, dtype=np.float64)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _exit_current(cfg, t)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        jx, jz = _exit_current(cfg, t)
+    late = ~np.isnan(t)
+    return (np.where(late & ~np.isfinite(jx), 0.0, jx)[()],
+            np.where(late & ~np.isfinite(jz), 0.0, jz)[()])
+
+
+def _exit_current(cfg: PhysicsConfig, t: np.ndarray):
+    """``exit_current_grid``'s closed form, as it rounds and overflows."""
     d, u, sigma0, hbar, m0 = cfg.d, cfg.u, cfg.sigma0, cfg.hbar, cfg.m0
     c_spread = hbar / (2.0 * m0 * sigma0 * sigma0)
     spread = c_spread * t

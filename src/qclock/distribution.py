@@ -78,8 +78,10 @@ class AngularDistribution:
     [w, w*cos, w*sin] of the normalized density w there.  Given exactly
     those nodes, ``density_fn`` returns row 0 and ``first_moment``'s
     integrand all three rows, instead of calling the density again; a
-    caller that writes to either must copy it first.  No observable is
-    kept: each m1 pass runs anew from the record.
+    caller that writes to either must copy it first.  ``peak_phi``
+    brackets the maximum of a distribution with a ``log_slope`` on
+    row 0.  No observable is kept: each m1 pass runs anew from the
+    record.
     ``norm_constant`` is the unnormalized total that was divided out;
     ``nodes`` holds the accepted abscissas of that normalization pass;
     ``quad`` is the spec it was built with, which every observable reuses.
@@ -93,8 +95,8 @@ class AngularDistribution:
     surfaces on first read of ``norm_check``, and a density that dips
     below zero, or is not finite, only between the nodes raises
     ``ValidationError`` on first read of ``density``.  ``grid`` and
-    ``density`` are read-only, since ``peak_phi`` and the curve file
-    read them.
+    ``density`` are read-only, since the curve file, and ``peak_phi``
+    without a ``log_slope``, read them.
 
     ``support`` is the interval (phi_lo, phi_hi) outside which the
     density is exactly +0.0.  ``density`` calls ``density_fn`` only on
@@ -106,7 +108,7 @@ class AngularDistribution:
     ``log_slope`` is None, or a scalar function of phi with the sign of
     the density's slope, in closed form: ``pi_of_phi`` sets it to
     d/dt ln|J| at t = phi/(2*omega).  ``peak_phi`` then finds the
-    maximum as its root, with no density call after the tabulation.
+    maximum as its root, with no density call and no tabulation.
     """
 
     density_fn: Callable[[np.ndarray], np.ndarray]
@@ -347,60 +349,78 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
 
 
 def peak_phi(dist: AngularDistribution) -> float:
-    """Location of the global maximum, refined between the grid points on
-    either side of the tabulated density's largest value.
+    """Location of the global maximum, refined between the points on
+    either side of the largest of the density's known values.
 
-    With a ``log_slope`` (every ``pi_of_phi`` distribution), the maximum
-    is the root of that closed form in this bracket, found to adjacent
-    doubles in Python floats with no density call (``_slope_root``); a
-    slope of one sign throughout gives the end it points to.  Its bits
-    therefore do not follow those of the density kernel's ``exp``.
-    Without one (``from_density``), each round evaluates the density at
-    ``_PEAK_POINTS`` evenly spaced points of the bracket and narrows it
-    to the two spacings around the largest value, until the bracket is
-    narrower than ``_PEAK_XTOL``, and the bracket's midpoint is returned.
+    With a ``log_slope`` (every ``pi_of_phi`` distribution), the known
+    values are those the normalization pass already computed: the nodes
+    and row 0 of ``_first_level``.  The maximum is the root of that
+    closed form between the largest value's neighbouring nodes (0 or
+    2*pi beyond the first or last node), found to adjacent doubles in
+    Python floats with no density call (``_slope_root``); a slope of one
+    sign throughout gives the end it points to.  Neither ``grid`` nor
+    ``density`` is built, and the peak's bits do not follow those of the
+    density kernel's ``exp``.  Without one (``from_density``), the known
+    values are the plot tabulation ``grid``/``density``, and each round
+    evaluates the density at ``_PEAK_POINTS`` evenly spaced points of
+    the bracket between the largest value's grid neighbours and narrows
+    it to the two spacings around the largest value, until the bracket
+    is narrower than ``_PEAK_XTOL``; the bracket's midpoint is returned.
     Either way a maximum at 2*pi gives an angle below 2*pi, which
     ``measure`` accepts.
 
-    The grid argmax reads the plot tabulation ``density``, which calls
-    the density only on the distribution's ``support``: for a
-    ``pi_of_phi`` distribution that is the part of the grid where the
-    current is not flushed to zero.
-
-    Raises ``AmbiguousPeakError`` when the density has no positive
-    maximum, plateaus at it, or peaks at the last grid point while mass
-    beyond one turn was cut off (``truncated_tail_mass > 0``): that
-    maximum is the edge of the cut, not a feature of the density.  A
-    density given on [0, 2*pi] (``from_density``) cuts nothing off, so a
-    maximum at 2*pi is a peak there.
+    Raises ``AmbiguousPeakError`` when the known values have no positive
+    maximum, or three or more lie within 1e-12 of it over more than
+    1e-6 rad (a plateau), or the maximum is at 2*pi while mass beyond
+    one turn was cut off (``truncated_tail_mass > 0``): that maximum is
+    the edge of the cut, not a feature of the density.  With a
+    ``log_slope`` that is a root at 2*pi; without one, the largest value
+    at the last grid point.  A density given on [0, 2*pi]
+    (``from_density``) cuts nothing off, so a maximum at 2*pi is a peak
+    there.
     """
-    density = dist.density
-    top = float(density.max())
+    if dist.log_slope is None:
+        points, values = dist.grid, dist.density
+    else:
+        points, rows = dist._first_level
+        values = rows[0]
+    i = int(np.argmax(values))
+    top = float(values[i])
     if top <= 0.0:
         raise AmbiguousPeakError("density has no positive maximum")
-    near = np.flatnonzero(density >= top * (1.0 - 1e-12))
-    span = dist.grid[near[-1]] - dist.grid[near[0]]
+    near = points[values >= top * (1.0 - 1e-12)]
+    span = near.max() - near.min()
     if near.size > 2 and span > 1e-6:
         raise AmbiguousPeakError(
             f"density plateaus within 1e-12 of its maximum over {span:.3e} rad")
-    i = int(np.argmax(density))
-    if i == density.size - 1 and dist.truncated_tail_mass > 0.0:
-        raise AmbiguousPeakError(
-            "density is largest at the 2*pi cut and "
-            f"{dist.truncated_tail_mass:.3e} of its mass lies beyond one "
-            "turn; the maximum is an edge of the cut, not a peak")
-    lo = dist.grid[max(i - 1, 0)]
-    hi = dist.grid[min(i + 1, dist.grid.size - 1)]
+    # the grid is sorted, but the first level interleaves the hint panels'
+    # nodes with their children's: neighbours by value, without a sort
+    x = float(points[i])
+    lo = float(points[points < x].max(initial=0.0))
+    hi = float(points[points > x].min(initial=TWO_PI))
     if dist.log_slope is not None:
-        root = _slope_root(dist.log_slope, float(lo), float(dist.grid[i]),
-                           float(hi))
+        root = _slope_root(dist.log_slope, lo, x, hi)
+        if root == TWO_PI:
+            _refuse_cut_edge(dist)
         return min(root, _BELOW_TWO_PI)
+    if x == TWO_PI:  # the last grid point
+        _refuse_cut_edge(dist)
     while hi - lo > _PEAK_XTOL:
         xs = np.linspace(lo, hi, _PEAK_POINTS)
         j = int(np.argmax(dist.density_fn(xs)))
         lo = xs[max(j - 1, 0)]
         hi = xs[min(j + 1, _PEAK_POINTS - 1)]
     return float(0.5 * (lo + hi))
+
+
+def _refuse_cut_edge(dist: AngularDistribution) -> None:
+    """``AmbiguousPeakError`` if mass beyond one turn was cut off, so that
+    a maximum at 2*pi is the edge of the cut."""
+    if dist.truncated_tail_mass > 0.0:
+        raise AmbiguousPeakError(
+            "density is largest at the 2*pi cut and "
+            f"{dist.truncated_tail_mass:.3e} of its mass lies beyond one "
+            "turn; the maximum is an edge of the cut, not a peak")
 
 
 def _slope_root(slope: Callable[[float], float], lo: float, mid: float,

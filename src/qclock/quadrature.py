@@ -229,7 +229,7 @@ def _panel_values(f, order, half, flat):
             f"points; got {raw.shape}")
     if not np.isfinite(raw).all():
         finite = np.isfinite(raw).reshape(-1, n).all(axis=0)
-        bad = flat[~finite][0]
+        bad = float(flat[~finite][0])
         raise ValidationError(f"integrand returned a non-finite value near x={bad!r}")
     panels = half.size
     terms = (raw * _node_weights(order, panels)).reshape(-1, order, panels)

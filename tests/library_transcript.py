@@ -12,16 +12,23 @@ compute the same values when their transcripts are equal::
     PYTHONPATH=src python tests/library_transcript.py > transcript.txt
 
 ``--configs N`` sets the number of off-preset configs (default 200) and
-``--seed S`` their seed (default 0).
+``--seed S`` their seed (default 0).  ``--against FILE`` prints, instead
+of the transcript, every line that differs from the transcript in FILE,
+under the line of its cell, with both sides, and exits with status 1 if
+any line differs::
+
+    PYTHONPATH=src python tests/library_transcript.py --against transcript.txt
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import math
 import random
 import sys
 import warnings
+from pathlib import Path
 
 from qclock import (ArrivalScheme, PhysicsConfig, density_matrix, measure,
                     peak_phi, pi_of_phi)
@@ -98,14 +105,39 @@ def transcript(cells, seed: int) -> list[str]:
     return lines
 
 
+def differences(theirs: list[str], ours: list[str]) -> list[str]:
+    """Each run of lines that differs between two transcripts, as the
+    line of its cell in ``ours``, then ``- `` and ``+ `` lines for
+    ``theirs`` and ``ours``."""
+    out = []
+    matcher = difflib.SequenceMatcher(None, theirs, ours, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        cell = next((line for line in reversed(ours[:j1])
+                     if not line.startswith(" ")), "")
+        out.append(cell)
+        out.extend(f"- {line}" for line in theirs[i1:i2])
+        out.extend(f"+ {line}" for line in ours[j1:j2])
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--configs", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--against", type=Path, metavar="FILE")
     args = parser.parse_args(argv)
     cells = [*preset_cells(), *offpreset_cells(args.configs, args.seed)]
-    print("\n".join(transcript(cells, args.seed)))
-    return 0
+    lines = transcript(cells, args.seed)
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    theirs = args.against.read_text(encoding="utf-8").splitlines()
+    diff = differences(theirs, lines)
+    if diff:
+        print("\n".join(diff))
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import codecs
+import functools
 import math
 import time
 from dataclasses import replace
@@ -623,6 +624,30 @@ def test_curve_computes_every_cell_before_writing(tmp_path, capsys,
     assert code == EXIT_CONVERGENCE
     assert "injected" in capsys.readouterr().err
     assert len(checks) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_curve_tabulates_every_cell_before_writing(tmp_path, capsys,
+                                                  monkeypatch):
+    # peak_phi reads no tabulation, so the cell reads it itself: a failure
+    # tabulating the last cell leaves no file behind
+    tabulate = distribution.AngularDistribution.density.func
+    reads = []
+
+    def failing_second_tabulation(dist):
+        reads.append(dist)
+        if len(reads) == 2:
+            raise ValidationError("injected tabulation failure")
+        return tabulate(dist)
+
+    density = functools.cached_property(failing_second_tabulation)
+    density.__set_name__(distribution.AngularDistribution, "density")
+    monkeypatch.setattr(distribution.AngularDistribution, "density", density)
+    code = main(["curve", "--sigma0", "1e-5", "--sigma0", "1e-6",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert "injected" in capsys.readouterr().err
+    assert len(reads) == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -348,3 +348,43 @@ def test_support_of_an_overflowing_config_is_the_whole_half_line():
     # c^2 and u^2 overflow, so neither root can be formed
     cfg = PhysicsConfig(sigma0=1e-100, m0=1e-83, u=1e160)
     assert exit_current_support(cfg) == (0.0, math.inf)
+
+
+#: Moments so small that one turn of the spin takes 3e148 s or more, past
+#: the 4e141 s at which the kernel's arithmetic starts to overflow.
+SLOW_SPIN_MU = [1e-200, 2e-176]
+
+
+@pytest.mark.parametrize("mu", SLOW_SPIN_MU)
+def test_kernel_gives_exact_zeros_where_it_overflows(mu):
+    # run under the warnings-as-errors filter: no overflow warning leaks
+    cfg = PhysicsConfig(mu=mu)
+    for t in (1e160, 1e300):
+        jx, jz = exit_current_grid(cfg, t)
+        assert type(jx) is type(jz) is np.float64
+        assert jx == 0.0 and jz == 0.0
+    early = in_packet_times(cfg, np.random.default_rng(22), 6)
+    t = np.concatenate((early, [1e160, 1e300, np.inf, np.nan]))
+    jx, jz = exit_current_grid(cfg, t)
+    want_jx, want_jz = exit_current_reference(cfg, early)
+    # every finite value keeps its bits; a NaN time still gives NaN
+    assert bits(jx[:6]).tolist() == bits(want_jx).tolist()
+    assert bits(jz[:6]).tolist() == bits(want_jz).tolist()
+    assert np.all(jx[:6] > 0.0)
+    assert jx[6:9].tolist() == jz[6:9].tolist() == [0.0, 0.0, 0.0]
+    assert np.isnan(jx[9]) and np.isnan(jz[9])
+
+
+@pytest.mark.parametrize("mu", SLOW_SPIN_MU)
+@pytest.mark.parametrize("scheme", [ArrivalScheme.MODULUS_TOTAL_CURRENT,
+                                    ArrivalScheme.MODULUS_SCHRODINGER_CURRENT])
+def test_a_spin_too_slow_for_the_kernel_still_gives_a_distribution(mu,
+                                                                   scheme):
+    # the norm pass evaluates phi where t = phi/(2*omega) overflows the
+    # kernel; the packet arrives within the support near phi_peak
+    cfg = PhysicsConfig(mu=mu)
+    dist = pi_of_phi(cfg, scheme)
+    assert dist.truncated_tail_mass == 0.0
+    assert dist.norm_check == pytest.approx(1.0, abs=1e-8)
+    lo, hi = dist.support
+    assert lo < cfg.phi_peak < hi < 1e-150

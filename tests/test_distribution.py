@@ -326,9 +326,9 @@ def test_peak_at_the_cut_with_mass_beyond_it_is_ambiguous():
 @pytest.mark.parametrize("d", [1.0, 2.0])
 @pytest.mark.parametrize("sigma0", [1e-5, 1e-6, 1e-7, 1e-8])
 def test_peak_search_kernel_calls(monkeypatch, d, sigma0):
-    # the closed-form log-slope's root needs no density after the grid
+    # the bracket is read from the norm pass's first level and the root
+    # from the closed-form log-slope: no density call and no tabulation
     dist = pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), TOTAL)
-    dist.density  # the plot tabulation is one call of its own, not the search
     calls = []
 
     def counting_kernel(cfg, t):
@@ -338,6 +338,7 @@ def test_peak_search_kernel_calls(monkeypatch, d, sigma0):
     monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
     peak_phi(dist)
     assert calls == []
+    assert "grid" not in vars(dist) and "density" not in vars(dist)
 
 
 def test_peak_search_rounds_without_a_log_slope():

@@ -5,7 +5,9 @@ from the packet density and the velocity field at x = d.
 ``exit_current_log_slope`` must agree with mpmath's numerical derivative
 of ln jx and of ln|J| of that transcription, and ``peak_phi`` with
 mpmath's root of that derivative, on the preset cells and on seeded
-configs from ``tests/library_transcript.py``'s fuzz box.
+configs from ``tests/library_transcript.py``'s fuzz box.  It must also
+agree with the peak bracketed on the plot grid (``tests/peak_oracle.py``)
+to ``PEAK_ULPS``, and raise the errors that route raises.
 """
 
 import math
@@ -16,11 +18,13 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from library_transcript import offpreset_cells, preset_cells
+from library_transcript import SCHEMES, offpreset_cells, preset_cells
+from peak_oracle import grid_peak
 
 from qclock import (ArrivalScheme, PhysicsConfig, QClockError,
                     exit_current_grid, peak_phi, pi_of_phi, width)
 from qclock.current import exit_current_log_slope
+from qclock.errors import AmbiguousPeakError
 
 TOTAL = ArrivalScheme.MODULUS_TOTAL_CURRENT
 SCH = ArrivalScheme.MODULUS_SCHRODINGER_CURRENT
@@ -146,6 +150,57 @@ def test_seeded_peaks_are_roots_of_the_log_slope():
             checked += 1
     assert checked >= 20
     assert misses == []
+
+
+def peak_or_error(find, dist):
+    """``find(dist)``, or the class of the typed error it raised."""
+    try:
+        return find(dist)
+    except QClockError as exc:
+        return type(exc)
+
+
+def agrees(got, want):
+    """Whether two ``peak_or_error`` outcomes are one error class, or
+    peaks within ``PEAK_ULPS`` ulp of each other."""
+    if isinstance(got, float) and isinstance(want, float):
+        return abs(got - want) <= PEAK_ULPS * math.ulp(want)
+    return got is want
+
+
+@pytest.mark.parametrize("physics, scheme", list(preset_cells()),
+                         ids=lambda v: getattr(v, "value", None))
+def test_preset_peak_matches_the_grid_bracket(physics, scheme):
+    dist = pi_of_phi(PhysicsConfig(**physics), scheme)
+    got = peak_or_error(peak_phi, dist)
+    assert isinstance(got, float)
+    assert agrees(got, peak_or_error(grid_peak, dist))
+
+
+def test_seeded_peaks_match_the_grid_bracket():
+    # 300+ valid configs of the fuzz box under both schemes: the peaks, the
+    # 2*pi cut errors and every other peak error are those of the grid
+    # bracket
+    configs = valid_configs(360, 23)
+    outcomes, misses = [], []
+    for cfg in configs:
+        for scheme in SCHEMES:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    dist = pi_of_phi(cfg, scheme)
+            except QClockError:
+                continue
+            got = peak_or_error(peak_phi, dist)
+            want = peak_or_error(grid_peak, dist)
+            if not agrees(got, want):
+                misses.append((cfg, scheme.value, got, want))
+            outcomes.append(got)
+    assert len(configs) >= 300
+    assert misses == []
+    peaks = [p for p in outcomes if isinstance(p, float)]
+    assert len(peaks) >= 380
+    assert outcomes.count(AmbiguousPeakError) >= 30
 
 
 def log_uniform(lo_exp, hi_exp):

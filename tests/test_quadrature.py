@@ -175,6 +175,23 @@ def test_nonfinite_integrand_rejected():
                   0.0, 1.0)
 
 
+def test_nonfinite_integrand_message_names_the_abscissa_as_a_float():
+    calls = []
+
+    def nan_everywhere(x):
+        calls.append(x)
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(ValidationError) as exc:
+        integrate(nan_everywhere, 0.0, 1.0)
+    # the first abscissa of the call, as Python prints a float
+    first = float(calls[0][0])
+    assert str(exc.value) == \
+        f"integrand returned a non-finite value near x={first!r}"
+    assert str(exc.value).startswith(
+        "integrand returned a non-finite value near x=0.0052995325")
+
+
 def test_full_result_diagnostics():
     res = integrate_full(lambda x: np.exp(-x) * np.sin(x) ** 2, 0.0, 4.0,
                          keep_nodes=True)
