@@ -87,26 +87,51 @@ def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):
 
     At times so late that this arithmetic overflows (past 4e141 s on the
     presets, where (hbar*t/(2*m0*sigma0^2))^2 exceeds the largest
-    double), a component that would be inf or NaN is an exact 0 instead,
-    and no warning is emitted: there the density falls as 1/t, and the
-    drift velocity as well.  Every finite value keeps its bits, and a
-    NaN time still gives NaN.
+    double), the density factor is 0, or NaN where its width overflowed;
+    there a component that would be inf or NaN is an exact 0 instead, and
+    no warning is emitted.  The density falls as 1/t there, and the drift
+    velocity as well.  Every finite value keeps its bits, a NaN time
+    still gives NaN, and an overflow where the density is not flushed (a
+    spike too tall for a double) still gives inf or NaN.  Whether any time
+    can reach that arithmetic is one check on the largest |t|
+    (``_fits``), so the common case runs the closed form alone.
     """
     t = np.asarray(t, dtype=np.float64)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _exit_current(cfg, t)
-    except FloatingPointError:
-        pass
+    if _fits(cfg, float(np.abs(t).max(initial=0.0))):
+        jx, jz, _dens = _exit_current(cfg, t)
+        return jx, jz
     with np.errstate(over="ignore", invalid="ignore"):
-        jx, jz = _exit_current(cfg, t)
-    late = ~np.isnan(t)
-    return (np.where(late & ~np.isfinite(jx), 0.0, jx)[()],
-            np.where(late & ~np.isfinite(jz), 0.0, jz)[()])
+        jx, jz, dens = _exit_current(cfg, t)
+    flushed = ~(dens > 0.0) & ~np.isnan(t)
+    return (np.where(flushed & ~np.isfinite(jx), 0.0, jx)[()],
+            np.where(flushed & ~np.isfinite(jz), 0.0, jz)[()])
+
+
+#: Ceiling on ``_fits``'s bounds, a factor 1e8 below the largest double, so
+#: that the closed form's rounding cannot carry a value under it to overflow.
+_FIT_CEILING = 1e300
+
+
+def _fits(cfg: PhysicsConfig, reach: float) -> bool:
+    """Whether, at every |t| <= reach, each intermediate of the closed form
+    that grows with |t| stays finite: the width sigma_t^2, the miss d - u*t,
+    its square and that over sigma0^2, (hbar*t)^2, miss*hbar^2*t, the velocity
+    and spin factors (at most |miss|*c, c = hbar/(2*m0*sigma0^2)) and the
+    spin angle 2*omega*t.  False for a NaN reach."""
+    d, u, sigma0, hbar = cfg.d, cfg.u, cfg.sigma0, cfg.hbar
+    c = hbar / (2.0 * cfg.m0 * sigma0 * sigma0)
+    q = c * reach
+    miss = d + u * reach
+    scaled = miss / min(sigma0, 1.0)  # bounds miss^2 and miss^2/sigma0^2
+    total = (sigma0 * sigma0 * (1.0 + q * q) * 7.0 + scaled * scaled
+             + hbar * hbar * (reach * reach) + miss * (hbar * hbar) * reach
+             + miss * c + cfg.omega * reach * 2.0)
+    return total < _FIT_CEILING
 
 
 def _exit_current(cfg: PhysicsConfig, t: np.ndarray):
-    """``exit_current_grid``'s closed form, as it rounds and overflows."""
+    """``exit_current_grid``'s closed form, as it rounds and overflows, and
+    its density factor."""
     d, u, sigma0, hbar, m0 = cfg.d, cfg.u, cfg.sigma0, cfg.hbar, cfg.m0
     c_spread = hbar / (2.0 * m0 * sigma0 * sigma0)
     spread = c_spread * t
@@ -120,7 +145,7 @@ def _exit_current(cfg: PhysicsConfig, t: np.ndarray):
     jx = dens * (u + miss * (hbar * hbar) * t / denom)
     jz = dens * (hbar * -miss / (2.0 * m0 * sigma_t2)) \
         * np.sin(2.0 * cfg.omega * t)
-    return jx, jz
+    return jx, jz, dens
 
 
 def exit_current_log_slope(cfg: PhysicsConfig, t: float,

@@ -8,7 +8,7 @@ from kernel_oracle import exit_current_reference
 from physics_oracle import (SpinState, _spin_term, bloch, current_general,
                             evolve, psi, rho)
 
-from qclock import (ArrivalScheme, PhysicsConfig, QClockError,
+from qclock import (ArrivalScheme, PhysicsConfig, QClockError, ValidationError,
                     exit_current_grid, pi_of_phi, width)
 from qclock.cli import DEFAULT_SIGMA0_LADDER, PRESETS
 from qclock.current import exit_current_support
@@ -388,3 +388,38 @@ def test_a_spin_too_slow_for_the_kernel_still_gives_a_distribution(mu,
     assert dist.norm_check == pytest.approx(1.0, abs=1e-8)
     lo, hi = dist.support
     assert lo < cfg.phi_peak < hi < 1e-150
+
+
+#: A valid config whose spike is too tall for a double: at t = d/u the
+#: density is about 4e9 and jx = density*u overflows.
+TALL_SPIKE = PhysicsConfig(u=1e300, sigma0=1e-10, d=1.0)
+
+
+def test_an_overflowing_spike_is_not_flushed():
+    # the late time sends the call down the overflow path; the spike's
+    # density is not flushed there, so its inf comes out as it is
+    cfg = TALL_SPIKE
+    jx, jz = exit_current_grid(cfg, np.array([cfg.transit_time, 1e160]))
+    assert jx[0] == np.inf and np.isfinite(jz[0])
+    assert jx[1] == 0.0 and jz[1] == 0.0
+
+
+@pytest.mark.parametrize("scheme", [ArrivalScheme.MODULUS_TOTAL_CURRENT,
+                                    ArrivalScheme.MODULUS_SCHRODINGER_CURRENT])
+def test_an_overflowing_spike_still_fails_the_quadrature(scheme):
+    with pytest.raises(ValidationError,
+                       match="integrand returned a non-finite value"):
+        pi_of_phi(TALL_SPIKE, scheme)
+
+
+@pytest.mark.parametrize("cfg", PRESET_CELLS,
+                         ids=[f"d{c.d:g}-s{c.sigma0:g}" for c in PRESET_CELLS])
+def test_kernel_enters_no_errstate_where_nothing_overflows(cfg, monkeypatch):
+    def refuse(**_kwargs):
+        raise AssertionError("np.errstate entered")
+    times = in_packet_times(cfg, np.random.default_rng(23), 16)
+    monkeypatch.setattr(np, "errstate", refuse)
+    exit_current_grid(cfg, times)
+    exit_current_grid(cfg, cfg.transit_time)
+    exit_current_grid(cfg, np.empty(0))
+    pi_of_phi(cfg, ArrivalScheme.MODULUS_TOTAL_CURRENT)
