@@ -27,10 +27,11 @@ from .distribution import (ArrivalScheme, peak_phi, pi_of_phi, scheme_weight,
 from .distribution import write_text_atomic as _write_text
 from .errors import (ConfigParseError, ConvergenceError,
                      DegenerateDistributionError, DomainError, QClockError,
-                     UnsupportedSchemeError, ValidationError, as_number)
+                     UnsupportedSchemeError, ValidationError, as_number,
+                     check_type)
 from .measurement import (deviation_report, measure, round_half_away,
                           write_deviation_csv)
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .wavepacket import PhysicsConfig
 
 EXIT_OK = 0
@@ -79,17 +80,12 @@ class RunConfig:
     scheme: ArrivalScheme = ArrivalScheme.MODULUS_TOTAL_CURRENT
     thetas_deg: tuple[float, ...] = ()
     sigma0_ladder: tuple[float, ...] = DEFAULT_SIGMA0_LADDER
-    quad: QuadratureSpec = QuadratureSpec()
+    quad: QuadratureSpec = DEFAULT_SPEC
     output_dir: Path = Path(".")
 
     def __post_init__(self):
-        for name, kind in (("physics", PhysicsConfig),
-                           ("quad", QuadratureSpec)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValidationError(f"{name} must be of type "
-                                      f"{kind.__name__}, not "
-                                      f"{type(value).__name__}")
+        check_type("physics", self.physics, PhysicsConfig)
+        check_type("quad", self.quad, QuadratureSpec)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValidationError(
                 f"output_dir must be a str or path-like, not "

@@ -95,12 +95,17 @@ def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):
     spike too tall for a double) still gives inf or NaN.  Whether any time
     can reach that arithmetic is one check on the largest |t|
     (``_fits``), so the common case runs the closed form alone.
+
+    The same holds at early times when the velocity factor's constant
+    term 4*m0^2*sigma0^4 underflows to 0 (sigma0 below about 1e-65 cm at
+    the neutron mass): where (hbar*t)^2 underflows too, its 0/0 or x/0
+    is an exact 0 wherever the density is flushed, with no warning.
     """
     t = np.asarray(t, dtype=np.float64)
     if _fits(cfg, float(np.abs(t).max(initial=0.0))):
         jx, jz, _dens = _exit_current(cfg, t)
         return jx, jz
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         jx, jz, dens = _exit_current(cfg, t)
     flushed = ~(dens > 0.0) & ~np.isnan(t)
     return (np.where(flushed & ~np.isfinite(jx), 0.0, jx)[()],
@@ -117,9 +122,13 @@ def _fits(cfg: PhysicsConfig, reach: float) -> bool:
     that grows with |t| stays finite: the width sigma_t^2, the miss d - u*t,
     its square and that over sigma0^2, (hbar*t)^2, miss*hbar^2*t, the velocity
     and spin factors (at most |miss|*c, c = hbar/(2*m0*sigma0^2)) and the
-    spin angle 2*omega*t.  False for a NaN reach."""
-    d, u, sigma0, hbar = cfg.d, cfg.u, cfg.sigma0, cfg.hbar
-    c = hbar / (2.0 * cfg.m0 * sigma0 * sigma0)
+    spin angle 2*omega*t.  False for a NaN reach, and whenever the velocity
+    factor's constant 4*m0^2*sigma0^4, rounded as ``_exit_current`` rounds
+    it, is 0: its denominator is then 0 wherever (hbar*t)^2 underflows."""
+    d, u, sigma0, hbar, m0 = cfg.d, cfg.u, cfg.sigma0, cfg.hbar, cfg.m0
+    if 4.0 * (m0 * m0) * (sigma0 * sigma0 * sigma0 * sigma0) == 0.0:
+        return False
+    c = hbar / (2.0 * m0 * sigma0 * sigma0)
     q = c * reach
     miss = d + u * reach
     scaled = miss / min(sigma0, 1.0)  # bounds miss^2 and miss^2/sigma0^2

@@ -25,8 +25,9 @@ from ._g17 import WIDTH, format_g17
 from .current import (exit_current_grid, exit_current_log_slope,
                       exit_current_support)
 from .errors import (AmbiguousPeakError, DegenerateDistributionError,
-                     UnsupportedSchemeError, ValidationError)
-from .quadrature import QuadratureSpec, hint_tuple, integrate, integrate_full
+                     UnsupportedSchemeError, ValidationError, check_type)
+from .quadrature import (QuadratureSpec, checked_spec, hint_tuple, integrate,
+                         integrate_full)
 from .wavepacket import PhysicsConfig, width
 
 TWO_PI = 2.0 * math.pi
@@ -72,9 +73,12 @@ class ArrivalScheme(enum.Enum):
 class AngularDistribution:
     """Normalized angular density on [0, 2*pi], tabulated on first read.
 
-    ``density_fn`` is the continuous normalized density used by every
-    downstream integral.  ``from_density`` keeps one read-only record of
-    the normalization pass's first level: its nodes and the rows
+    Built by ``from_density``, for any density, or by ``pi_of_phi``, for
+    the exit current; both construct it in one step, after one shared
+    normalization pass, and only ``from_density`` checks the density's
+    values for sign and shape.  ``density_fn`` is the continuous
+    normalized density used by every downstream integral.  That pass
+    keeps one read-only record of its first level: its nodes and the rows
     [w, w*cos, w*sin] of the normalized density w there.  Given exactly
     those nodes, ``density_fn`` returns row 0 and ``first_moment``'s
     integrand all three rows, instead of calling the density again; a
@@ -103,7 +107,9 @@ class AngularDistribution:
     the grid points inside it and one grid point beyond each end, and
     fills the rest with +0.0, which are the bits ``density_fn`` would
     give there.  ``from_density`` knows no such interval and keeps the
-    whole line; ``pi_of_phi`` sets it from ``exit_current_support``.
+    whole line; ``pi_of_phi`` sets it from ``exit_current_support``, and
+    refuses a config whose support starts at or past 2*pi before any
+    pass runs.
 
     ``log_slope`` is None, or a scalar function of phi with the sign of
     the density's slope, in closed form: ``pi_of_phi`` sets it to
@@ -131,9 +137,11 @@ class AngularDistribution:
                      ) -> "AngularDistribution":
         """Normalize an arbitrary nonnegative vectorized density on [0, 2*pi].
 
-        Runs the normalization pass only; any negative or complex value
-        it evaluates, or an output shaped unlike its input, raises
-        ``ValidationError``.  ``fn`` must be
+        Runs the normalization pass only, with the checks a user's
+        density needs: any negative or complex value it evaluates, or an
+        output shaped unlike its input, raises ``ValidationError``, and a
+        total that is 0 or not finite ``DegenerateDistributionError``.
+        ``fn`` must be
         elementwise: a point's value may not depend on which other points
         share the call, since the quadrature evaluates many panels' nodes
         in one call.  The pass's first call, on the nodes of its hint
@@ -149,11 +157,12 @@ class AngularDistribution:
         converged.  Use a ladder of points on both flanks (see
         ``bracketing_hints``).  They are stored as a tuple of Python
         floats, the key under which every pass over this distribution
-        finds its quadrature layout.
+        finds its quadrature layout.  ``quad`` is None, for the default
+        spec, or a ``QuadratureSpec``; anything else raises
+        ``ValidationError``.
         """
-        quad = quad or QuadratureSpec()
+        quad = checked_spec(quad, "quad")
         hints = hint_tuple(split_hints)
-        first_call = []
 
         def nonnegative(phi):
             values = np.asarray(fn(phi))
@@ -162,32 +171,14 @@ class AngularDistribution:
                     f"density must return one value per point, shape "
                     f"{phi.shape}; got {values.shape}")
             _check_nonnegative(values)
-            if not first_call:
-                # fn may hand back a buffer that its next call reuses
-                first_call.extend((phi, values.copy()))
-            return values
+            # fn may hand back a buffer that its next call reuses
+            return values.copy()
 
-        total = integrate_full(nonnegative, 0.0, TWO_PI, quad, hints,
-                               keep_nodes=True)
-        if not math.isfinite(total.value) or total.value <= 0.0:
-            raise DegenerateDistributionError(
-                f"density integrates to {total.value!r}; nothing to normalize")
-        norm = total.value
-        first_nodes, first_values = first_call
-        first_rows = _moment_rows(first_nodes, first_values / norm)
-        first_rows.flags.writeable = False
-
-        def density_fn(phi, _fn=fn, _norm=norm):
-            phi = np.asarray(phi, dtype=np.float64)
-            # fn is elementwise, so these are the values it would give
-            if _same_nodes(phi, first_nodes):
-                return first_rows[0]
-            return np.asarray(_fn(phi)) / _norm
-
-        return cls(density_fn=density_fn, norm_constant=norm,
-                   nodes=total.nodes, quad=quad, split_hints=hints,
-                   truncated_tail_mass=0.0, meta=dict(meta) if meta else {},
-                   _first_level=(first_nodes, first_rows))
+        norm, nodes, first_level, density_fn = _normalized(
+            fn, quad, hints, evaluate=nonnegative)
+        return cls(density_fn=density_fn, norm_constant=norm, nodes=nodes,
+                   quad=quad, split_hints=hints, truncated_tail_mass=0.0,
+                   meta=dict(meta) if meta else {}, _first_level=first_level)
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -254,6 +245,51 @@ def _check_nonnegative(values: np.ndarray) -> None:
         raise ValidationError("density is negative somewhere on the grid")
 
 
+def _normalized(fn, quad: QuadratureSpec, hints: tuple, evaluate=None):
+    """The normalization pass of a density ``fn`` over [0, 2*pi], run on
+    ``evaluate`` (``fn`` behind checks that return its values) or else on
+    ``fn``: (norm, nodes, first_level, density_fn).
+
+    ``norm`` is the pass's total, ``nodes`` its accepted abscissas, and
+    ``first_level`` the read-only record of its first call: that call's
+    nodes and the rows [w, w*cos, w*sin] of w = values/norm there.
+    ``density_fn`` is fn/norm, which gives row 0 for exactly those nodes.
+    ``evaluate`` must return a fresh array on the first call, which the
+    record keeps.  A total that is 0 or not finite raises
+    ``DegenerateDistributionError``.
+    """
+    evaluate = evaluate or fn
+    first_call = []
+
+    def recorded(phi):
+        values = evaluate(phi)
+        if not first_call:
+            first_call.extend((phi, values))
+        return values
+
+    total = integrate_full(recorded, 0.0, TWO_PI, quad, hints,
+                           keep_nodes=True)
+    if not math.isfinite(total.value) or total.value <= 0.0:
+        raise DegenerateDistributionError(_nothing_to_normalize(total.value))
+    norm = total.value
+    first_nodes, first_values = first_call
+    first_rows = _moment_rows(first_nodes, first_values / norm)
+    first_rows.flags.writeable = False
+
+    def density_fn(phi, _fn=fn, _norm=norm):
+        phi = np.asarray(phi, dtype=np.float64)
+        # fn is elementwise, so these are the values it would give
+        if _same_nodes(phi, first_nodes):
+            return first_rows[0]
+        return np.asarray(_fn(phi)) / _norm
+
+    return norm, total.nodes, (first_nodes, first_rows), density_fn
+
+
+def _nothing_to_normalize(total: float) -> str:
+    return f"density integrates to {total!r}; nothing to normalize"
+
+
 #: Flank scales (in units of the spike width) at which bracketing hints are
 #: planted around a known spike; 64 widths is already flush-to-zero territory
 #: for a Gaussian spike at double precision.
@@ -305,47 +341,67 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
               quad: QuadratureSpec | None = None) -> AngularDistribution:
     """Normalized distribution of emergent spin azimuths on [0, 2*pi].
 
+    ``cfg`` must be a ``PhysicsConfig`` and ``quad`` None or a
+    ``QuadratureSpec``; anything else raises ``ValidationError``, as a
+    scheme that is no ``ArrivalScheme`` does (``scheme_weight``).  The
+    current's support (``exit_current_support``, mapped to
+    phi = 2*omega*t and kept as the distribution's ``support``) comes
+    next: when it starts at or past 2*pi the weight is +0.0 on all of
+    [0, 2*pi], and ``DegenerateDistributionError`` ("density integrates
+    to 0.0") is raised with no kernel call or quadrature, as the
+    normalization pass would raise it.
+
+    Otherwise the normalization pass runs on the scheme's weight
+    (``scheme_weight``) as it is: |J| is nonnegative or NaN by
+    construction, and the quadrature refuses a NaN, so no sign check runs.
     The quadrature is seeded with the packet peak's rotation angle so the
     first bisections bracket the spike.  Mass at angles beyond one full
     turn is discarded; a finite-horizon estimate of the discarded fraction
     is attached and a warning is emitted when it exceeds 1e-6.  That
     estimate integrates the weight over [2*pi, 8*pi] only when the
-    current's support (``exit_current_support``, mapped to phi = 2*omega*t
-    and kept as the distribution's ``support``) reaches past 2*pi;
-    otherwise the weight is +0.0 there and the estimate is 0.0, as the
-    pass would give.  The
+    support reaches past 2*pi; otherwise the weight is +0.0 there and
+    the estimate is 0.0, as the pass would give.  The
     distribution's ``log_slope`` is phi -> d/dt ln of the scheme's |J| at
     t = phi/(2*omega) (``exit_current_log_slope``, with the spin part for
-    the total current); jx > 0 for t >= 0, so |jx| = jx.
+    the total current); jx > 0 for t >= 0, so |jx| = jx.  The
+    distribution is built once, with every field known; its first-level
+    record and ``density_fn`` come from the normalization pass that
+    ``from_density`` runs too.
     """
-    quad = quad or QuadratureSpec()
+    check_type("cfg", cfg, PhysicsConfig)
     weight = scheme_weight(cfg, scheme)
+    quad = checked_spec(quad, "quad")
+    two_omega = 2.0 * cfg.omega
+    t_lo, t_hi = exit_current_support(cfg)
+    support = (two_omega * t_lo, two_omega * t_hi)
+    if support[0] >= TWO_PI:
+        # the whole first turn lies below the support: +0.0 integrates to 0.0
+        raise DegenerateDistributionError(_nothing_to_normalize(0.0))
     spike_width = 2.0 * cfg.omega * width(cfg, cfg.transit_time).sigma_t / cfg.u
     hints = bracketing_hints(cfg.phi_peak, spike_width)
+    norm, nodes, first_level, density_fn = _normalized(weight, quad, hints)
+    # beyond the support the weight is +0.0, whose integral is 0.0
+    tail = (integrate(weight, TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, quad)
+            if support[1] > TWO_PI else 0.0)
+    tail_frac = tail / (norm + tail)
+    if tail_frac > _TAIL_WARN_LEVEL:
+        warnings.warn(
+            f"discarded rotation-angle mass beyond one turn is {tail_frac:.3e} "
+            f"(finite-horizon estimate); results are biased at that level",
+            stacklevel=2)
     meta = {
         "scheme": scheme.value,
         "sigma0_cm": repr(cfg.sigma0), "u_cm_per_s": repr(cfg.u),
         "d_cm": repr(cfg.d), "B_gauss": repr(cfg.B), "mu_erg_per_gauss": repr(cfg.mu),
         "m0_g": repr(cfg.m0), "hbar_erg_s": repr(cfg.hbar),
     }
-    dist = AngularDistribution.from_density(
-        weight, quad, split_hints=hints, meta=meta)
-    two_omega = 2.0 * cfg.omega
-    t_lo, t_hi = exit_current_support(cfg)
-    support = (two_omega * t_lo, two_omega * t_hi)
-    # beyond the support the weight is +0.0, whose integral is 0.0
-    tail = (integrate(weight, TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, quad)
-            if support[1] > TWO_PI else 0.0)
-    tail_frac = tail / (dist.norm_constant + tail)
-    if tail_frac > _TAIL_WARN_LEVEL:
-        warnings.warn(
-            f"discarded rotation-angle mass beyond one turn is {tail_frac:.3e} "
-            f"(finite-horizon estimate); results are biased at that level",
-            stacklevel=2)
     spin = scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT
-    return replace(dist, truncated_tail_mass=tail_frac, support=support,
-                   log_slope=lambda phi: exit_current_log_slope(
-                       cfg, phi / two_omega, spin))
+    return AngularDistribution(
+        density_fn=density_fn, norm_constant=norm, nodes=nodes, quad=quad,
+        split_hints=hints, truncated_tail_mass=tail_frac, meta=meta,
+        _first_level=first_level, support=support,
+        log_slope=lambda phi: exit_current_log_slope(cfg, phi / two_omega,
+                                                     spin))
 
 
 def peak_phi(dist: AngularDistribution) -> float:

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all qclock modules, and the number check
-every validated config field goes through."""
+"""Exception hierarchy shared by all qclock modules, the number check
+every validated config field goes through, and the type check of the
+library's object arguments."""
 
 import numbers
 
@@ -70,3 +71,12 @@ def as_number(name, value, kind=numbers.Real):
         return float(value)
     except OverflowError:
         raise ValidationError(f"{name} is too large for a float") from None
+
+
+def check_type(name, value, kind):
+    """``value``, or ``ValidationError`` naming ``kind`` when it is not an
+    instance of it."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be of type {kind.__name__}, "
+                              f"not {type(value).__name__}")
+    return value

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distribution import (TWO_PI, AngularDistribution, ArrivalScheme,
                            first_moment, pi_of_phi, write_text_atomic)
-from .errors import DomainError, as_number
+from .errors import DomainError, as_number, check_type
 from .quadrature import QuadratureSpec
 from .wavepacket import PhysicsConfig
 
@@ -49,7 +49,9 @@ def _check_theta(theta: float) -> float:
 def measure(dist: AngularDistribution, theta: float) -> MeasurementResult:
     """Both channel probabilities at analyzer azimuth theta, from one m1;
     theta must be a real number in [0, 2*pi), and is stored as a Python
-    float."""
+    float.  A ``dist`` that is not an ``AngularDistribution`` raises
+    ``ValidationError``."""
+    check_type("dist", dist, AngularDistribution)
     theta = _check_theta(theta)
     m1 = first_moment(dist)
     proj = m1.real * math.cos(theta) + m1.imag * math.sin(theta)
@@ -62,8 +64,10 @@ def semiclassical_prediction(cfg: PhysicsConfig, theta: float) -> MeasurementRes
 
     All spins rotate by phi_peak = 2*omega*d/u, so the channel probabilities
     are the pure-state cos^2/sin^2 half-angle laws.  theta must be a real
-    number in [0, 2*pi), as for ``measure``.
+    number in [0, 2*pi), as for ``measure``, and ``cfg`` a
+    ``PhysicsConfig``.
     """
+    check_type("cfg", cfg, PhysicsConfig)
     theta = _check_theta(theta)
     half = 0.5 * (theta - cfg.phi_peak)
     return MeasurementResult(theta=theta,

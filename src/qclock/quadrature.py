@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, as_number
+from .errors import ConvergenceError, ValidationError, as_number, check_type
 
 #: A panel is accepted when |refined - parent| <= max(rel_tol*|refined|, floor).
 #: The floor keeps panels that straddle the density's flush-to-zero cutoff
@@ -105,6 +105,19 @@ class QuadratureSpec:
         object.__setattr__(self, "rel_tol", rel_tol)
         object.__setattr__(self, "panel_order", order)
         object.__setattr__(self, "max_depth", depth)
+
+
+#: The spec of every pass that is given none; specs are frozen, so all
+#: such passes share it.
+DEFAULT_SPEC = QuadratureSpec()
+
+
+def checked_spec(spec, name: str = "spec") -> QuadratureSpec:
+    """``spec``, ``DEFAULT_SPEC`` for None, or ``ValidationError`` for
+    anything that is not a ``QuadratureSpec``."""
+    if spec is None:
+        return DEFAULT_SPEC
+    return check_type(name, spec, QuadratureSpec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,14 +268,15 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     module docstring).  ``split_hints`` lists interior abscissas (e.g. a
     known spike location) at which the interval is pre-split before any
     adaptivity runs; a tuple of Python floats is used as it is, and any
-    other iterable is converted on every call.
+    other iterable is converted on every call.  ``spec`` is None, for
+    ``DEFAULT_SPEC``, or a ``QuadratureSpec``; anything else raises
+    ValidationError.
 
     Raises ConvergenceError when panels remain unconverged at max_depth, or
     when more than MAX_LIVE_PANELS of them remain after any level; the
     exception carries the best estimate and the achieved error bound.
     """
-    if spec is None:
-        spec = QuadratureSpec()
+    spec = checked_spec(spec)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValidationError("need finite bounds with a < b")
     order = spec.panel_order

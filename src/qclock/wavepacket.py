@@ -54,9 +54,23 @@ class PhysicsConfig:
 
     Defaults are the d=1 cm preset: u=3e5 cm/s, B=10 gauss, sigma0=1e-5 cm,
     with the calibrated magnetic moment.  Any real number (``bool`` aside)
-    is accepted and stored as a Python float.  Construction validates positivity
-    of every field and the packet-fits-in-rotator guard (the packet width at
-    the exit instant must stay below d/2).
+    is accepted and stored as a Python float.  Construction raises
+    ``ValidationError`` unless:
+
+    - every field is finite and positive;
+    - the derived k = m0*u/hbar and omega = mu*B/hbar are finite and
+      positive;
+    - the spreading scale 2*m0*sigma0^2 does not underflow to 0;
+    - the packet fits in the rotator: its width at the exit instant stays
+      below d/2.
+
+    A valid config is not yet a distribution.  One whose packet arrives
+    only after the spin has turned past 2*pi has no mass on [0, 2*pi),
+    and ``pi_of_phi`` refuses it with ``DegenerateDistributionError``.
+    The exit current's velocity factor has the constant 4*m0^2*sigma0^4,
+    which may underflow to 0 (sigma0 below about 1e-65 cm at the neutron
+    mass); at the early times where its denominator is then 0, the
+    kernel's density is flushed and it gives exact zeros.
     """
 
     hbar: float = HBAR

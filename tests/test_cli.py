@@ -348,6 +348,18 @@ def test_exit_code_convergence(tmp_path, capsys):
         assert not (tmp_path / "table.csv").exists()
 
 
+def test_table_refuses_a_ladder_with_no_first_turn_mass(tmp_path, capsys):
+    # the supports start at phi = 164 and 84 rad: the packet arrives after
+    # the spin has turned many times, so [0, 2*pi) holds no mass
+    cfgfile = tmp_path / "late.cfg"
+    cfgfile.write_text("preset = I\nu = 1e4\nB = 100\nsigma0 = 1e-5, 1e-6\n")
+    code = main(["table", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "density integrates to 0.0; nothing to normalize" in err
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_curve_refuses_a_peak_at_the_cut(tmp_path, capsys):
     # the density still rises at one full turn and nearly all of its mass
     # lies beyond it: its largest value on the grid is not a peak

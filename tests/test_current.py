@@ -8,10 +8,12 @@ from kernel_oracle import exit_current_reference
 from physics_oracle import (SpinState, _spin_term, bloch, current_general,
                             evolve, psi, rho)
 
-from qclock import (ArrivalScheme, PhysicsConfig, QClockError, ValidationError,
-                    exit_current_grid, pi_of_phi, width)
+from qclock import (ArrivalScheme, DegenerateDistributionError,
+                    PhysicsConfig, QClockError, ValidationError,
+                    exit_current_grid, integrate, pi_of_phi, width)
 from qclock.cli import DEFAULT_SIGMA0_LADDER, PRESETS
 from qclock.current import exit_current_support
+from qclock.distribution import scheme_weight
 from qclock.wavepacket import _EXP_FLOOR, HBAR
 
 SET_I = PhysicsConfig()
@@ -410,6 +412,45 @@ def test_an_overflowing_spike_still_fails_the_quadrature(scheme):
     with pytest.raises(ValidationError,
                        match="integrand returned a non-finite value"):
         pi_of_phi(TALL_SPIKE, scheme)
+
+
+#: A valid config whose velocity factor's constant 4*m0^2*sigma0^4
+#: underflows to 0, so that its denominator is 0 wherever (hbar*t)^2
+#: underflows too.
+UNDERFLOWING_DENOMINATOR = PhysicsConfig(hbar=1e-100, sigma0=1e-70)
+
+
+def test_kernel_gives_exact_zeros_where_its_denominator_underflows():
+    # run under the warnings-as-errors filter: no 0/0 or x/0 warning leaks
+    cfg = UNDERFLOWING_DENOMINATOR
+    m0, sigma0 = cfg.m0, cfg.sigma0
+    assert 4.0 * (m0 * m0) * (sigma0 * sigma0 * sigma0 * sigma0) == 0.0
+    early = np.array([0.0, 1e-200, 1e-63])  # 0/0, 0/0 and x/0
+    for t in (*early, early):
+        jx, jz = exit_current_grid(cfg, t)
+        assert bits(jx).tolist() == bits(np.zeros_like(t)).tolist()
+        assert np.all(jz == 0.0)
+    # where the density is not flushed, every value keeps its bits
+    times = in_packet_times(cfg, np.random.default_rng(24), 8)
+    jx, jz = exit_current_grid(cfg, times)
+    want_jx, want_jz = exit_current_reference(cfg, times)
+    assert np.all(jx > 0.0)
+    assert bits(jx).tolist() == bits(want_jx).tolist()
+    assert bits(jz).tolist() == bits(want_jz).tolist()
+
+
+@pytest.mark.parametrize("scheme", [ArrivalScheme.MODULUS_TOTAL_CURRENT,
+                                    ArrivalScheme.MODULUS_SCHRODINGER_CURRENT])
+def test_an_underflowing_denominator_gives_no_first_turn_mass(scheme):
+    # the spin turns 1e78 rad/s: the packet arrives long past one turn
+    cfg = UNDERFLOWING_DENOMINATOR
+    with pytest.raises(DegenerateDistributionError,
+                       match=r"density integrates to 0\.0; nothing"):
+        pi_of_phi(cfg, scheme)
+    # the norm pass the support check replaces gives +0.0, not a NaN
+    weight = scheme_weight(cfg, scheme)
+    total = integrate(weight, 0.0, 2.0 * math.pi)
+    assert total == 0.0 and math.copysign(1.0, total) == 1.0
 
 
 @pytest.mark.parametrize("cfg", PRESET_CELLS,

@@ -8,7 +8,8 @@ import pytest
 from library_transcript import offpreset_cells, preset_cells
 
 from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
-                    bracketing_hints, exit_current_grid, integrate, mean_phi,
+                    bracketing_hints, exit_current_grid, integrate,
+                    integrate_full, mean_phi,
                     measure, peak_phi, pi_of_phi, variance_phi,
                     write_distribution_csv)
 from qclock import distribution
@@ -606,3 +607,133 @@ def test_cached_arrays_are_read_only(dist_i):
     for arr in (dist_i.grid, dist_i.density, distribution._uniform_grid()):
         with pytest.raises(ValueError):
             arr[:] = 0.0
+
+
+# A first turn with no mass: the support check refuses it with the error of
+# the norm pass it replaces.
+
+NOTHING_TO_NORMALIZE = r"^density integrates to 0\.0; nothing to normalize$"
+
+
+def norm_pass_hints(cfg):
+    """The bracketing hints that ``pi_of_phi`` seeds its norm pass with."""
+    spike_width = (2.0 * cfg.omega * width(cfg, cfg.transit_time).sigma_t
+                   / cfg.u)
+    return bracketing_hints(cfg.phi_peak, spike_width)
+
+
+def valid_configs(cells):
+    """The ``PhysicsConfig`` of each cell that is a valid config."""
+    configs = []
+    for physics, _scheme in cells:
+        try:
+            configs.append(PhysicsConfig(**physics))
+        except ValidationError:
+            pass
+    return configs
+
+
+def test_a_first_turn_below_the_support_is_refused_without_a_kernel_call(
+        monkeypatch):
+    calls = []
+
+    def counting_kernel(cfg, t):
+        calls.append(t)
+        return exit_current_grid(cfg, t)
+
+    monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
+    refused = 0
+    for cfg in valid_configs(offpreset_cells(360, 23)):
+        t_lo, _t_hi = exit_current_support(cfg)
+        if 2.0 * cfg.omega * t_lo < TWO_PI:
+            continue
+        for scheme in (TOTAL, SCH):
+            calls.clear()
+            with pytest.raises(DegenerateDistributionError,
+                               match=NOTHING_TO_NORMALIZE):
+                pi_of_phi(cfg, scheme)
+            assert calls == []
+            # the norm pass that the refusal replaces
+            total = integrate_full(scheme_weight(cfg, scheme), 0.0, TWO_PI,
+                                   QuadratureSpec(), norm_pass_hints(cfg))
+            assert calls
+            assert total.value == 0.0
+            assert math.copysign(1.0, total.value) == 1.0
+            refused += 1
+    assert refused >= 100
+
+
+# pi_of_phi builds in one step what from_density builds from the scheme's
+# weight, plus the tail pass and the support: every bit of it.
+
+def uint64_bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_bits(ours, theirs):
+    assert np.shape(ours) == np.shape(theirs)
+    assert np.array_equal(uint64_bits(ours), uint64_bits(theirs))
+
+
+def two_routes(cfg, scheme):
+    """(pi_of_phi, from_density route with its tail and support), each a
+    distribution or the type and message of the typed error it raised."""
+    def one_step():
+        return pi_of_phi(cfg, scheme)
+
+    def from_density():
+        weight = scheme_weight(cfg, scheme)
+        quad = QuadratureSpec()
+        dist = AngularDistribution.from_density(weight, quad,
+                                                norm_pass_hints(cfg))
+        tail = integrate(weight, TWO_PI, 4.0 * TWO_PI, quad)
+        t_lo, t_hi = exit_current_support(cfg)
+        support = (2.0 * cfg.omega * t_lo, 2.0 * cfg.omega * t_hi)
+        return replace(dist, support=support,
+                       truncated_tail_mass=tail / (dist.norm_constant + tail))
+
+    outcomes = []
+    for route in (one_step, from_density):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                outcomes.append(route())
+            except QClockError as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def test_pi_of_phi_is_the_from_density_route_bit_for_bit():
+    cells = [*preset_cells(), *offpreset_cells(200, 25)]
+    built = 0
+    for physics, scheme in cells:
+        try:
+            cfg = PhysicsConfig(**physics)
+        except ValidationError:
+            continue
+        ours, theirs = two_routes(cfg, scheme)
+        if isinstance(theirs, tuple):  # the same typed error
+            assert ours == theirs
+            continue
+        built += 1
+        assert isinstance(ours, AngularDistribution)
+        assert_same_bits(ours.norm_constant, theirs.norm_constant)
+        assert_same_bits(ours.nodes, theirs.nodes)
+        (nodes, rows), (their_nodes, their_rows) = (ours._first_level,
+                                                    theirs._first_level)
+        assert_same_bits(nodes, their_nodes)
+        assert_same_bits(rows, their_rows)
+        assert_same_bits(ours.split_hints, theirs.split_hints)
+        assert all(type(h) is float for h in ours.split_hints)
+        assert_same_bits(ours.support, theirs.support)
+        assert_same_bits(ours.truncated_tail_mass, theirs.truncated_tail_mass)
+        grid = ours.grid
+        assert_same_bits(ours.density_fn(grid), theirs.density_fn(grid))
+        # both routes share the norm pass: check what it keeps against the
+        # weight itself
+        weight = scheme_weight(cfg, scheme)
+        w = weight(nodes) / ours.norm_constant
+        assert_same_bits(rows, [w, w * np.cos(nodes), w * np.sin(nodes)])
+        assert_same_bits(ours.density_fn(grid),
+                         weight(grid) / ours.norm_constant)
+    assert built >= 16 + 60

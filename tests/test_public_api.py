@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 import qclock
 
 # Adding or removing an export is an API change: update this set with it.
@@ -21,3 +24,27 @@ def test_public_api_is_pinned():
     assert set(qclock.__all__) == EXPECTED_ALL
     for name in qclock.__all__:
         getattr(qclock, name)
+
+
+SCHEME = qclock.ArrivalScheme.MODULUS_TOTAL_CURRENT
+
+
+@pytest.mark.parametrize("call, name, kind", [
+    (lambda: qclock.pi_of_phi({"d": 1.0}, SCHEME), "cfg", "PhysicsConfig"),
+    (lambda: qclock.pi_of_phi(qclock.PhysicsConfig(), SCHEME,
+                              quad={"rel_tol": 1e-8}),
+     "quad", "QuadratureSpec"),
+    (lambda: qclock.AngularDistribution.from_density(
+        np.ones_like, quad={"rel_tol": 1e-8}), "quad", "QuadratureSpec"),
+    (lambda: qclock.integrate(np.ones_like, 0.0, 1.0, {"rel_tol": 1e-8}),
+     "spec", "QuadratureSpec"),
+    (lambda: qclock.semiclassical_prediction({"d": 1}, 0.5),
+     "cfg", "PhysicsConfig"),
+    (lambda: qclock.measure("x", 0.5), "dist", "AngularDistribution"),
+], ids=["pi_of_phi-cfg", "pi_of_phi-quad", "from_density-quad",
+        "integrate-spec", "semiclassical-cfg", "measure-dist"])
+def test_arguments_of_the_wrong_type_raise_validation_error(call, name,
+                                                            kind):
+    with pytest.raises(qclock.ValidationError,
+                       match=f"^{name} must be of type {kind}, not "):
+        call()
