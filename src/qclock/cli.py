@@ -22,14 +22,15 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .distribution import (ArrivalScheme, peak_phi, pi_of_phi, scheme_weight,
-                           variance_phi, write_distribution_csv)
+from .distribution import (ArrivalScheme, _distributions, peak_phi,
+                           scheme_weight, variance_phi,
+                           write_distribution_csv)
 from .distribution import write_text_atomic as _write_text
 from .errors import (ConfigParseError, ConvergenceError,
                      DegenerateDistributionError, DomainError, QClockError,
                      UnsupportedSchemeError, ValidationError, as_number,
                      check_type)
-from .measurement import (deviation_report, measure, round_half_away,
+from .measurement import (_deviation_rows, measure, round_half_away,
                           write_deviation_csv)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .wavepacket import PhysicsConfig
@@ -242,17 +243,15 @@ def run_table(cfg: RunConfig) -> Path:
     """Channel probabilities for every (sigma0, theta) cell, 5 decimals.
 
     Layout mirrors the reference tables: one row per sigma0, a
-    (p_plus, p_minus) column pair per analyzer angle.
+    (p_plus, p_minus) column pair per analyzer angle.  The ladder's
+    distributions are built as one batch (``_distributions``), then each
+    is measured in turn.
     """
     labels = _distinct_labels(cfg.thetas_deg, lambda theta: f"{theta:.5f}",
                               "analyzer angles", "deg", "table column label")
     thetas_rad = [math.radians(t) for t in cfg.thetas_deg]
-
-    def cell(physics: PhysicsConfig):
-        dist = pi_of_phi(physics, cfg.scheme, cfg.quad)
-        return [measure(dist, theta) for theta in thetas_rad]
-
-    rows = [cell(physics) for physics in cfg.cells]
+    rows = [[measure(dist, theta) for theta in thetas_rad]
+            for dist in _distributions(_ladder(cfg), cfg.quad)]
 
     header = ["sigma0_cm"]
     for label in labels:
@@ -273,13 +272,13 @@ def run_table(cfg: RunConfig) -> Path:
 
 
 def run_curve(cfg: RunConfig) -> list[Path]:
-    """Angular density curve per sigma0, plus a summary sidecar each."""
+    """Angular density curve per sigma0, plus a summary sidecar each; the
+    ladder's distributions are built as one batch (``_distributions``)."""
     _distinct_labels(cfg.sigma0_ladder,
                      lambda sigma0: f"curve_sigma0_{_sigma_tag(sigma0)}.csv",
                      "sigma0 values", "cm", "output file")
 
-    def cell(physics: PhysicsConfig):
-        dist = pi_of_phi(physics, cfg.scheme, cfg.quad)
+    def cell(dist):
         # the norm check and the tabulation run on first read: read both
         # here, so that a failure in either comes before any file is
         # written
@@ -287,7 +286,8 @@ def run_curve(cfg: RunConfig) -> list[Path]:
         dist.density
         return dist, peak_phi(dist), variance_phi(dist)
 
-    results = [cell(physics) for physics in cfg.cells]
+    results = [cell(dist)
+               for dist in _distributions(_ladder(cfg), cfg.quad)]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for sigma0, (dist, peak, variance) in zip(cfg.sigma0_ladder, results):
@@ -310,26 +310,31 @@ _COMPARE_SCHEMES = (ArrivalScheme.MODULUS_TOTAL_CURRENT,
 
 def run_compare(cfg: RunConfig) -> list[Path]:
     """Quantum-scheme vs semiclassical deviations; one CSV per scheme and
-    sigma0."""
+    sigma0.  Both schemes' distributions of the whole ladder are built as
+    one batch (``_distributions``), since their cells share their hints."""
     first = _COMPARE_SCHEMES[0].value
     _distinct_labels(
         cfg.sigma0_ladder,
         lambda sigma0: f"compare_{first}_sigma0_{_sigma_tag(sigma0)}.csv",
         "sigma0 values", "cm", "output file")
     thetas_rad = [math.radians(t) for t in cfg.thetas_deg]
-    cells = [(scheme, physics) for scheme in _COMPARE_SCHEMES
+    cells = [(physics, scheme) for scheme in _COMPARE_SCHEMES
              for physics in cfg.cells]
-
-    reports = [deviation_report(physics, scheme, thetas_rad, cfg.quad)
-               for scheme, physics in cells]
+    reports = [_deviation_rows(dist, physics, thetas_rad) for (physics, _s), dist
+               in zip(cells, _distributions(cells, cfg.quad))]
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for (scheme, physics), rows in zip(cells, reports):
+    for (physics, scheme), rows in zip(cells, reports):
         path = cfg.output_dir / \
             f"compare_{scheme.value}_sigma0_{_sigma_tag(physics.sigma0)}.csv"
         write_deviation_csv(rows, path)
         paths.append(path)
     return paths
+
+
+def _ladder(cfg: RunConfig) -> list:
+    """The (physics, scheme) cell of each sigma0 of the ladder."""
+    return [(physics, cfg.scheme) for physics in cfg.cells]
 
 
 def run_validate(cfg: RunConfig) -> None:

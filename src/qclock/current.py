@@ -76,9 +76,15 @@ def exit_current_support(cfg: PhysicsConfig) -> tuple[float, float]:
     return t_lo, t_hi
 
 
-def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):
+def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray, sigma0=None):
     """Current components (jx, jz) at the exit point x=d for times of any
     shape; the hot loop of every quadrature.
+
+    ``sigma0`` is None, for ``cfg.sigma0``, or an array of initial widths
+    that broadcasts against ``t`` and stands in for ``cfg.sigma0`` point
+    by point, so that one call evaluates the cells of a sigma0 ladder
+    together.  Each point's value is the one a config with its width
+    would give.
 
     jx is the spin-independent (gradient/drift) part, jz the spin part; the
     density factor is set to exactly 0 once its exponent drops below the
@@ -94,7 +100,8 @@ def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):
     still gives NaN, and an overflow where the density is not flushed (a
     spike too tall for a double) still gives inf or NaN.  Whether any time
     can reach that arithmetic is one check on the largest |t|
-    (``_fits``), so the common case runs the closed form alone.
+    (``_fits``; for an array of widths, at its smallest and largest), so
+    the common case runs the closed form alone.
 
     The same holds at early times when the velocity factor's constant
     term 4*m0^2*sigma0^4 underflows to 0 (sigma0 below about 1e-65 cm at
@@ -102,11 +109,21 @@ def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):
     is an exact 0 wherever the density is flushed, with no warning.
     """
     t = np.asarray(t, dtype=np.float64)
-    if _fits(cfg, float(np.abs(t).max(initial=0.0))):
-        jx, jz, _dens = _exit_current(cfg, t)
+    reach = float(_max(np.abs(t), axis=None, initial=0.0))
+    if sigma0 is None:
+        sigma0 = cfg.sigma0
+        fits = _fits(cfg, reach, sigma0)
+    else:
+        # _fits's bounds are convex in sigma0, so the two extreme widths
+        # bound every width between them
+        sigma0 = np.asarray(sigma0, dtype=np.float64)
+        fits = (_fits(cfg, reach, float(_min(sigma0, axis=None)))
+                and _fits(cfg, reach, float(_max(sigma0, axis=None))))
+    if fits:
+        jx, jz, _dens = _exit_current(cfg, t, sigma0)
         return jx, jz
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        jx, jz, dens = _exit_current(cfg, t)
+        jx, jz, dens = _exit_current(cfg, t, sigma0)
     flushed = ~(dens > 0.0) & ~np.isnan(t)
     return (np.where(flushed & ~np.isfinite(jx), 0.0, jx)[()],
             np.where(flushed & ~np.isfinite(jz), 0.0, jz)[()])
@@ -116,16 +133,20 @@ def exit_current_grid(cfg: PhysicsConfig, t: np.ndarray):
 #: that the closed form's rounding cannot carry a value under it to overflow.
 _FIT_CEILING = 1e300
 
+#: ``ndarray.max`` and ``ndarray.min`` without their Python wrappers.
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
-def _fits(cfg: PhysicsConfig, reach: float) -> bool:
-    """Whether, at every |t| <= reach, each intermediate of the closed form
+
+def _fits(cfg: PhysicsConfig, reach: float, sigma0: float) -> bool:
+    """Whether, at every |t| <= reach and initial width sigma0 (in place
+    of ``cfg.sigma0``), each intermediate of the closed form
     that grows with |t| stays finite: the width sigma_t^2, the miss d - u*t,
     its square and that over sigma0^2, (hbar*t)^2, miss*hbar^2*t, the velocity
     and spin factors (at most |miss|*c, c = hbar/(2*m0*sigma0^2)) and the
     spin angle 2*omega*t.  False for a NaN reach, and whenever the velocity
     factor's constant 4*m0^2*sigma0^4, rounded as ``_exit_current`` rounds
     it, is 0: its denominator is then 0 wherever (hbar*t)^2 underflows."""
-    d, u, sigma0, hbar, m0 = cfg.d, cfg.u, cfg.sigma0, cfg.hbar, cfg.m0
+    d, u, hbar, m0 = cfg.d, cfg.u, cfg.hbar, cfg.m0
     if 4.0 * (m0 * m0) * (sigma0 * sigma0 * sigma0 * sigma0) == 0.0:
         return False
     c = hbar / (2.0 * m0 * sigma0 * sigma0)
@@ -138,10 +159,12 @@ def _fits(cfg: PhysicsConfig, reach: float) -> bool:
     return total < _FIT_CEILING
 
 
-def _exit_current(cfg: PhysicsConfig, t: np.ndarray):
-    """``exit_current_grid``'s closed form, as it rounds and overflows, and
-    its density factor."""
-    d, u, sigma0, hbar, m0 = cfg.d, cfg.u, cfg.sigma0, cfg.hbar, cfg.m0
+def _exit_current(cfg: PhysicsConfig, t: np.ndarray, sigma0):
+    """``exit_current_grid``'s closed form at the initial width(s)
+    ``sigma0``, as it rounds and overflows, and its density factor; every
+    operation is elementwise, so an array of widths gives each point the
+    bits of its own width."""
+    d, u, hbar, m0 = cfg.d, cfg.u, cfg.hbar, cfg.m0
     c_spread = hbar / (2.0 * m0 * sigma0 * sigma0)
     spread = c_spread * t
     sigma_t2 = (sigma0 * sigma0) * (1.0 + spread * spread)

@@ -25,9 +25,10 @@ from ._g17 import WIDTH, format_g17
 from .current import (exit_current_grid, exit_current_log_slope,
                       exit_current_support)
 from .errors import (AmbiguousPeakError, DegenerateDistributionError,
-                     UnsupportedSchemeError, ValidationError, check_type)
-from .quadrature import (QuadratureSpec, checked_spec, hint_tuple, integrate,
-                         integrate_full)
+                     QClockError, UnsupportedSchemeError, ValidationError,
+                     check_type)
+from .quadrature import (QuadratureResult, QuadratureSpec, _integrate_batch,
+                         _result, checked_spec, hint_tuple, integrate)
 from .wavepacket import PhysicsConfig, width
 
 TWO_PI = 2.0 * math.pi
@@ -174,8 +175,10 @@ class AngularDistribution:
             # fn may hand back a buffer that its next call reuses
             return values.copy()
 
+        outcomes, (layout,), (first,) = _integrate_batch(
+            nonnegative, [(0.0, TWO_PI, hints)], quad, keep_nodes=True)
         norm, nodes, first_level, density_fn = _normalized(
-            fn, quad, hints, evaluate=nonnegative)
+            fn, _result(outcomes), layout[-1], first)
         return cls(density_fn=density_fn, norm_constant=norm, nodes=nodes,
                    quad=quad, split_hints=hints, truncated_tail_mass=0.0,
                    meta=dict(meta) if meta else {}, _first_level=first_level)
@@ -245,35 +248,25 @@ def _check_nonnegative(values: np.ndarray) -> None:
         raise ValidationError("density is negative somewhere on the grid")
 
 
-def _normalized(fn, quad: QuadratureSpec, hints: tuple, evaluate=None):
-    """The normalization pass of a density ``fn`` over [0, 2*pi], run on
-    ``evaluate`` (``fn`` behind checks that return its values) or else on
-    ``fn``: (norm, nodes, first_level, density_fn).
+def _normalized(fn, total: QuadratureResult, first_nodes, first_values):
+    """(norm, nodes, first_level, density_fn) of a density ``fn`` from the
+    result ``total`` of its normalization pass over [0, 2*pi]
+    (``_integrate_batch``) and the values it gave at ``first_nodes`` in
+    the pass's first call.
 
     ``norm`` is the pass's total, ``nodes`` its accepted abscissas, and
-    ``first_level`` the read-only record of its first call: that call's
-    nodes and the rows [w, w*cos, w*sin] of w = values/norm there.
+    ``first_level`` the read-only record of its first call: those nodes
+    and the rows [w, w*cos, w*sin] of w = first_values/norm there.
     ``density_fn`` is fn/norm, which gives row 0 for exactly those nodes.
-    ``evaluate`` must return a fresh array on the first call, which the
-    record keeps.  A total that is 0 or not finite raises
-    ``DegenerateDistributionError``.
+    ``first_values`` is node-major, in any shape with one value per node,
+    and no later call of fn may overwrite it.  A total that is 0 or not
+    finite raises ``DegenerateDistributionError``.
     """
-    evaluate = evaluate or fn
-    first_call = []
-
-    def recorded(phi):
-        values = evaluate(phi)
-        if not first_call:
-            first_call.extend((phi, values))
-        return values
-
-    total = integrate_full(recorded, 0.0, TWO_PI, quad, hints,
-                           keep_nodes=True)
-    if not math.isfinite(total.value) or total.value <= 0.0:
-        raise DegenerateDistributionError(_nothing_to_normalize(total.value))
     norm = total.value
-    first_nodes, first_values = first_call
-    first_rows = _moment_rows(first_nodes, first_values / norm)
+    if not math.isfinite(norm) or norm <= 0.0:
+        raise DegenerateDistributionError(_nothing_to_normalize(norm))
+    first_rows = _moment_rows(
+        first_nodes, (first_values / norm).reshape(first_nodes.shape))
     first_rows.flags.writeable = False
 
     def density_fn(phi, _fn=fn, _norm=norm):
@@ -365,43 +358,170 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     t = phi/(2*omega) (``exit_current_log_slope``, with the spin part for
     the total current); jx > 0 for t >= 0, so |jx| = jx.  The
     distribution is built once, with every field known; its first-level
-    record and ``density_fn`` come from the normalization pass that
-    ``from_density`` runs too.
+    record and ``density_fn`` come from the normalization helper that
+    ``from_density`` uses too.  It is built as the one cell of a ladder
+    (``_ladder_parts``), as ``_distributions`` builds a whole ladder for
+    ``run_table``, ``run_curve`` and ``run_compare``.
     """
     check_type("cfg", cfg, PhysicsConfig)
-    weight = scheme_weight(cfg, scheme)
+    scheme_weight(cfg, scheme)
     quad = checked_spec(quad, "quad")
-    two_omega = 2.0 * cfg.omega
-    t_lo, t_hi = exit_current_support(cfg)
-    support = (two_omega * t_lo, two_omega * t_hi)
-    if support[0] >= TWO_PI:
-        # the whole first turn lies below the support: +0.0 integrates to 0.0
-        raise DegenerateDistributionError(_nothing_to_normalize(0.0))
-    spike_width = 2.0 * cfg.omega * width(cfg, cfg.transit_time).sigma_t / cfg.u
-    hints = bracketing_hints(cfg.phi_peak, spike_width)
-    norm, nodes, first_level, density_fn = _normalized(weight, quad, hints)
-    # beyond the support the weight is +0.0, whose integral is 0.0
-    tail = (integrate(weight, TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, quad)
-            if support[1] > TWO_PI else 0.0)
+    return _next_distribution(cfg, scheme, quad,
+                              _ladder_parts([(cfg, scheme)], quad), 3)
+
+
+def _distributions(cells, quad: QuadratureSpec, stacklevel: int = 2):
+    """The distribution of each (cfg, scheme) of ``cells``, in order, as
+    ``pi_of_phi`` builds it alone, from one batch of normalization passes
+    and one batch of tail passes (``_ladder_parts``).
+
+    The configs may differ in sigma0 only, as a ladder's cells do; each
+    level of a batch is then one kernel call, which evaluates every
+    cell's points at the cell's own sigma0 (``_ladder_weight``).  Every
+    distribution has the bits that ``pi_of_phi`` gives its cell.
+
+    A generator.  Both batches run before the first cell is yielded, but
+    a cell's error (its refusal, or its pass's error) is raised, and its
+    tail warning emitted with ``stacklevel`` counted from here, only when
+    the walk reaches the cell.  So a ladder emits the same warnings and
+    raises the same first error, in the same order, as a loop that calls
+    ``pi_of_phi`` per cell and uses each cell before the next.  The
+    ladder's first-level layouts wait, unclaimed, for the layout memo, so
+    the passes over a cell that follow build none again, however many
+    cells the ladder has.
+    """
+    cells = list(cells)
+    parts = _ladder_parts(cells, quad)[::-1]
+    for cfg, scheme in cells:
+        yield _next_distribution(cfg, scheme, quad, parts, stacklevel + 1)
+
+
+def _next_distribution(cfg: PhysicsConfig, scheme: ArrivalScheme,
+                       quad: QuadratureSpec, parts: list, stacklevel: int):
+    """The distribution of the cell (cfg, scheme) from its part, the last
+    of ``parts`` (``_ladder_parts``), which is popped; its tail warning
+    is emitted with ``stacklevel`` counted from here.
+
+    A cell's error is popped as it is raised, so that no frame that its
+    traceback holds refers to it: that would be a reference cycle, which
+    only the cyclic garbage collector frees."""
+    if isinstance(parts[-1], QClockError):
+        raise parts.pop()
+    support, hints, (norm, nodes, first_level, density_fn), tail = \
+        parts.pop()
     tail_frac = tail / (norm + tail)
     if tail_frac > _TAIL_WARN_LEVEL:
         warnings.warn(
-            f"discarded rotation-angle mass beyond one turn is {tail_frac:.3e} "
-            f"(finite-horizon estimate); results are biased at that level",
-            stacklevel=2)
+            f"discarded rotation-angle mass beyond one turn is "
+            f"{tail_frac:.3e} (finite-horizon estimate); results are "
+            f"biased at that level", stacklevel=stacklevel)
     meta = {
         "scheme": scheme.value,
         "sigma0_cm": repr(cfg.sigma0), "u_cm_per_s": repr(cfg.u),
-        "d_cm": repr(cfg.d), "B_gauss": repr(cfg.B), "mu_erg_per_gauss": repr(cfg.mu),
+        "d_cm": repr(cfg.d), "B_gauss": repr(cfg.B),
+        "mu_erg_per_gauss": repr(cfg.mu),
         "m0_g": repr(cfg.m0), "hbar_erg_s": repr(cfg.hbar),
     }
-    spin = scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT
     return AngularDistribution(
         density_fn=density_fn, norm_constant=norm, nodes=nodes, quad=quad,
         split_hints=hints, truncated_tail_mass=tail_frac, meta=meta,
         _first_level=first_level, support=support,
-        log_slope=lambda phi: exit_current_log_slope(cfg, phi / two_omega,
-                                                     spin))
+        log_slope=_log_slope(cfg, scheme))
+
+
+def _ladder_parts(cells, quad: QuadratureSpec) -> list:
+    """Per cell of ``cells``, [support, hints, (norm, nodes, first_level,
+    density_fn), tail mass] (``_next_distribution``), or the error that
+    ends the cell, kept without a traceback."""
+    parts: list = []
+    live, weights, spans = [], [], []  # of the cells with first-turn mass
+    for cfg, scheme in cells:
+        two_omega = 2.0 * cfg.omega
+        t_lo, t_hi = exit_current_support(cfg)
+        support = (two_omega * t_lo, two_omega * t_hi)
+        if support[0] >= TWO_PI:
+            # the whole first turn lies below the support: +0.0 integrates
+            # to 0.0
+            parts.append(DegenerateDistributionError(
+                _nothing_to_normalize(0.0)))
+            continue
+        spike_width = two_omega * width(cfg, cfg.transit_time).sigma_t / cfg.u
+        hints = bracketing_hints(cfg.phi_peak, spike_width)
+        live.append(len(parts))
+        weights.append(scheme_weight(cfg, scheme))
+        spans.append((0.0, TWO_PI, hints))
+        parts.append([support, hints, None, 0.0])
+    if not live:
+        return parts
+
+    past, past_weights = [], []  # the cells whose support reaches past 2*pi
+    outcomes, layouts, firsts = _integrate_batch(
+        _ladder_weight([cells[i] for i in live], weights), spans, quad,
+        keep_nodes=True)
+    for i, weight, outcome, layout, first in zip(live, weights, outcomes,
+                                                 layouts, firsts):
+        if not isinstance(outcome, QuadratureResult):
+            parts[i] = outcome
+            continue
+        try:
+            parts[i][2] = _normalized(weight, outcome, layout[-1], first)
+        except QClockError as exc:
+            parts[i] = exc.with_traceback(None)
+            continue
+        if parts[i][0][1] > TWO_PI:
+            past.append(i)
+            past_weights.append(weight)
+    # beyond the support the weight is +0.0, whose integral is 0.0
+    if past:
+        outcomes, _layouts, _firsts = _integrate_batch(
+            _ladder_weight([cells[i] for i in past], past_weights),
+            [(TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, ())] * len(past), quad)
+        for i, outcome in zip(past, outcomes):
+            if isinstance(outcome, QuadratureResult):
+                parts[i][3] = outcome.value
+            else:
+                parts[i] = outcome
+    return parts
+
+
+def _log_slope(cfg: PhysicsConfig, scheme: ArrivalScheme):
+    """phi -> d/dt ln of the scheme's |J| at t = phi/(2*omega)."""
+    two_omega = 2.0 * cfg.omega
+    spin = scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT
+    return lambda phi: exit_current_log_slope(cfg, phi / two_omega, spin)
+
+
+def _ladder_weight(cells, weights):
+    """The weights of ``cells``, (cfg, scheme) pairs whose configs differ
+    in sigma0 only, as one integrand of ``_integrate_batch``; ``weights``
+    are their ``scheme_weight``s.
+
+    For one cell it is its weight.  For several it is f(phi, owner), and
+    one kernel call gives the points of each panel the current at the
+    sigma0 of the cell that ``owner`` names, and |J| or |jx| by that
+    cell's scheme; every operation is elementwise, so each value has the
+    bits of the cell's own weight.
+    """
+    if len(cells) == 1:
+        return weights[0]
+    cfg = cells[0][0]
+    two_omega = 2.0 * cfg.omega
+    widths = np.array([cell_cfg.sigma0 for cell_cfg, _scheme in cells])
+    total = [scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT
+             for _cfg, scheme in cells]
+    mixed = np.array(total) if any(total) and not all(total) else None
+
+    def weight(phi, owner):
+        # node-major: column p of every row is a point of panel p
+        t = (phi / two_omega).reshape(-1, owner.size)
+        jx, jz = exit_current_grid(cfg, t, sigma0=widths[owner])
+        if mixed is not None:
+            values = np.where(mixed[owner], np.hypot(jx, jz), np.abs(jx))
+        else:
+            values = np.hypot(jx, jz) if total[0] else np.abs(jx)
+        return values.ravel()
+
+    return weight
 
 
 def peak_phi(dist: AngularDistribution) -> float:
@@ -433,8 +553,10 @@ def peak_phi(dist: AngularDistribution) -> float:
     ``log_slope`` that is a root at 2*pi; without one, the largest value
     at the last grid point.  A density given on [0, 2*pi]
     (``from_density``) cuts nothing off, so a maximum at 2*pi is a peak
-    there.
+    there.  A ``dist`` that is not an ``AngularDistribution`` raises
+    ``ValidationError``.
     """
+    check_type("dist", dist, AngularDistribution)
     if dist.log_slope is None:
         points, values = dist.grid, dist.density
     else:
@@ -543,8 +665,10 @@ def first_moment(dist: AngularDistribution) -> complex:
     The pass's first level is the normalization pass's, whose rows
     ``from_density`` kept; so only a deeper level calls the density or
     computes cos and sin.  On the preset cells none does.  m1 itself is
-    not kept: every call runs the pass.
+    not kept: every call runs the pass.  A ``dist`` that is not an
+    ``AngularDistribution`` raises ``ValidationError``.
     """
+    check_type("dist", dist, AngularDistribution)
     nodes, rows = dist._first_level or (None, None)
 
     def stacked(phi):
@@ -557,13 +681,16 @@ def first_moment(dist: AngularDistribution) -> complex:
 
 
 def mean_phi(dist: AngularDistribution) -> float:
-    """First moment of the angular density."""
+    """First moment of the angular density; ``ValidationError`` for a
+    ``dist`` that is not an ``AngularDistribution``."""
+    check_type("dist", dist, AngularDistribution)
     return integrate(lambda p: p * dist.density_fn(p), 0.0, TWO_PI,
                      dist.quad, dist.split_hints)
 
 
 def variance_phi(dist: AngularDistribution) -> float:
-    """Central second moment of the angular density, rad^2."""
+    """Central second moment of the angular density, rad^2; ``ValidationError``
+    for a ``dist`` that is not an ``AngularDistribution``."""
     mean = mean_phi(dist)
     return integrate(lambda p: (p - mean) ** 2 * dist.density_fn(p),
                      0.0, TWO_PI, dist.quad, dist.split_hints)
@@ -585,8 +712,10 @@ def write_distribution_csv(dist: AngularDistribution, path) -> None:
     ``format_g17`` is exact: its scaled digits carry an error below
     1e-14, and a value within 1e-6 of a rounding tie at the 17th digit is
     formatted by CPython instead.  The bytes are therefore those of
-    formatting every row with ``%.17g``.
+    formatting every row with ``%.17g``.  A ``dist`` that is not an
+    ``AngularDistribution`` raises ``ValidationError``.
     """
+    check_type("dist", dist, AngularDistribution)
     lines = []
     for key, val in dist.meta.items():
         lines.append(f"# {key} = {val}")

@@ -81,7 +81,9 @@ def density_matrix(dist: AngularDistribution) -> np.ndarray:
     chi(phi) = (|up> + exp(i*phi)|down>)/sqrt(2).
 
     The density is normalized, so both diagonals are 1/2; the off-diagonals
-    are m1/2 and its conjugate.
+    are m1/2 and its conjugate.  A ``dist`` that is not an
+    ``AngularDistribution`` raises ``ValidationError`` (from
+    ``first_moment``).
     """
     m1 = first_moment(dist)
     return np.array([[0.5, 0.5 * m1.conjugate()],
@@ -103,7 +105,13 @@ def deviation_report(cfg: PhysicsConfig, scheme: ArrivalScheme,
                      thetas: Sequence[float],
                      quad: QuadratureSpec | None = None) -> list[DeviationRow]:
     """Tabulate quantum vs semiclassical probabilities per analyzer angle."""
-    dist = pi_of_phi(cfg, scheme, quad)
+    return _deviation_rows(pi_of_phi(cfg, scheme, quad), cfg, thetas)
+
+
+def _deviation_rows(dist: AngularDistribution, cfg: PhysicsConfig,
+                    thetas: Sequence[float]) -> list[DeviationRow]:
+    """``deviation_report``'s rows for the distribution ``dist`` of
+    ``cfg``."""
     rows = []
     for theta in thetas:
         result = measure(dist, theta)

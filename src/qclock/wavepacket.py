@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError, as_number
+from .errors import DomainError, ValidationError, as_number, check_type
 
 #: Reduced Planck constant, erg s (CODATA 2018, exact SI definition).
 HBAR = 1.054571817e-27
@@ -134,8 +134,10 @@ def width(cfg: PhysicsConfig, t: float) -> PacketWidth:
     """Packet width at time t >= 0.
 
     a_t = sigma0*(1 + i*hbar*t/(2*m0*sigma0^2)) and sigma_t = |a_t|, so
-    sigma_t^2 = sigma0^2 + (hbar*t/(2*m0*sigma0))^2 exactly.
+    sigma_t^2 = sigma0^2 + (hbar*t/(2*m0*sigma0))^2 exactly.  A ``cfg``
+    that is not a ``PhysicsConfig`` raises ``ValidationError``.
     """
+    check_type("cfg", cfg, PhysicsConfig)
     if t < 0.0:
         raise DomainError("t must be >= 0")
     # the dimensionless spreading parameter

@@ -2,13 +2,17 @@
 
 By default this runs ``table``, ``curve`` under both current schemes and
 ``compare`` for presets I and II on their default ladders: 50 files.
-Two trees, or two environments, write the same bytes when their listings
-are equal::
+``--ladders N --seed S`` adds N seeded ladders of 4-12 sigma0 in
+[1e-8, 1e-5] cm, log-spaced as the benchmark's ladder sweep draws them,
+presets alternating, each through the same runs: long ladders and cells
+whose current reaches past one turn.  Two trees, or two environments,
+write the same bytes when their listings are equal::
 
     PYTHONPATH=src python tests/output_digests.py OUT_DIR > digests.txt
 
 Paths are relative to ``OUT_DIR``: ``<preset>/<run>/<file>``, where
-``<run>`` is ``table``, ``compare`` or ``curve-<scheme>``.  ``--preset``,
+``<run>`` is ``table``, ``compare`` or ``curve-<scheme>``, and
+``ladder<k>-<preset>/<run>/<file>`` for the seeded ladders.  ``--preset``,
 ``--sigma0`` and ``--command`` narrow the set.  ``--against FILE``
 prints, instead of the listing, every path whose digest differs from
 the listing in FILE, or that only one of them has, with both sides, and
@@ -23,6 +27,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -38,24 +43,41 @@ RUNS = {
 }
 
 
+def seeded_ladders(count: int, seed: int):
+    """``count`` (name, preset, ladder) of 4-12 log-spaced sigma0 in
+    [1e-8, 1e-5] cm, presets alternating."""
+    rng = random.Random(seed)
+    for k in range(count):
+        rows = rng.randint(4, 12)
+        top, bottom = rng.uniform(-6.5, -5.0), rng.uniform(-8.0, -6.5)
+        preset = ("I", "II")[k % 2]
+        yield f"ladder{k}-{preset}", preset, tuple(
+            10.0 ** (top + (bottom - top) * j / (rows - 1))
+            for j in range(rows))
+
+
 def write_outputs(out_dir: Path, presets=("I", "II"),
-                  commands=tuple(RUNS), sigma0=()) -> dict[str, str]:
-    """Run each command per preset into ``out_dir``, which must be new or
-    empty, and return the sha256 of every file written, keyed by its path
-    relative to ``out_dir``."""
+                  commands=tuple(RUNS), sigma0=(),
+                  ladders=()) -> dict[str, str]:
+    """Run each command per preset, and per (name, preset, ladder) of
+    ``ladders``, into ``out_dir``, which must be new or empty, and return
+    the sha256 of every file written, keyed by its path relative to
+    ``out_dir``."""
     if out_dir.exists() and any(out_dir.iterdir()):
         raise FileExistsError(f"{out_dir} is not empty")
-    ladder = [arg for s in sigma0 for arg in ("--sigma0", repr(s))]
-    for preset in presets:
+    runs = [(preset, preset, sigma0) for preset in presets] + list(ladders)
+    for directory, preset, ladder in runs:
+        flags = [arg for s in ladder for arg in ("--sigma0", repr(s))]
         for command in commands:
             for name, args in RUNS[command]:
-                run_dir = out_dir / preset / name
+                run_dir = out_dir / directory / name
                 with contextlib.redirect_stdout(io.StringIO()):
-                    code = qclock_main([*args, "--preset", preset, *ladder,
+                    code = qclock_main([*args, "--preset", preset, *flags,
                                         "--out", str(run_dir)])
                 if code != 0:
                     raise RuntimeError(f"qclock {' '.join(args)} --preset "
-                                       f"{preset} exited with {code}")
+                                       f"{preset} {' '.join(flags)} exited "
+                                       f"with {code}")
     return {path.relative_to(out_dir).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out_dir.rglob("*")) if path.is_file()}
@@ -82,10 +104,13 @@ def main(argv=None) -> int:
     parser.add_argument("--preset", action="append", choices=("I", "II"))
     parser.add_argument("--command", action="append", choices=tuple(RUNS))
     parser.add_argument("--sigma0", action="append", type=float, default=[])
+    parser.add_argument("--ladders", type=int, default=0, metavar="N")
+    parser.add_argument("--seed", type=int, default=0, metavar="S")
     parser.add_argument("--against", type=Path, metavar="FILE")
     args = parser.parse_args(argv)
     digests = write_outputs(args.out_dir, tuple(args.preset or ("I", "II")),
-                            tuple(args.command or RUNS), tuple(args.sigma0))
+                            tuple(args.command or RUNS), tuple(args.sigma0),
+                            tuple(seeded_ladders(args.ladders, args.seed)))
     if args.against is None:
         for path, digest in digests.items():
             print(f"{digest}  {path}")

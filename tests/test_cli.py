@@ -2,18 +2,20 @@ import codecs
 import functools
 import math
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qclock import PhysicsConfig, cli, distribution
+from qclock import PhysicsConfig, cli, distribution, measure, quadrature
 from qclock.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE,
-                        EXIT_VALIDATION, RunConfig, default_thetas_deg, main,
-                        parse_config, run_curve, run_table, serialize)
+                        EXIT_VALIDATION, PRESETS, RunConfig,
+                        default_thetas_deg, main, parse_config, run_curve,
+                        run_table, serialize)
 from qclock.distribution import ArrivalScheme
-from qclock.errors import (ConfigParseError, ConvergenceError,
+from qclock.errors import (ConfigParseError, ConvergenceError, QClockError,
                            UnsupportedSchemeError, ValidationError)
 from qclock.quadrature import QuadratureSpec
 
@@ -790,3 +792,95 @@ def test_curve_summaries_pinned(tmp_path, preset):
                for path in tmp_path.glob("*_summary.txt")}
     assert written == {name: text.encode()
                        for name, text in CURVE_SUMMARIES[preset].items()}
+
+
+# a ladder whose first two cells keep most of their mass beyond one turn
+# (a tail warning each) and whose third cell has none within it (refused)
+REFUSED_THIRD = ("preset = I\nB = 108\n"
+                 "sigma0 = 1e-8, 1e-7, 1e-6, 1e-5\n")
+
+
+def cell_by_cell(cfg):
+    """The warnings, and the first error, of building and measuring each
+    cell of ``cfg`` in turn, as ``run_table`` did cell by cell."""
+    thetas = [math.radians(t) for t in cfg.thetas_deg]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for physics in cfg.cells:
+                dist = distribution.pi_of_phi(physics, cfg.scheme, cfg.quad)
+                for theta in thetas:
+                    measure(dist, theta)
+        except QClockError as exc:
+            return [str(w.message) for w in caught], exc
+    raise AssertionError("no cell failed")
+
+
+@pytest.mark.parametrize("inject", [False, True])
+def test_a_ladder_fails_as_the_cell_by_cell_loop(tmp_path, capsys,
+                                                 monkeypatch, inject):
+    text = REFUSED_THIRD
+    if inject:
+        # the third cell's pass raises instead, deep in the quadrature,
+        # after a heavy-tailed cell that warns
+        text = "preset = I\nsigma0 = 2.2e-9, 1e-8, 1e-6\n"
+
+        def failing_third(cfg, t, sigma0=None):
+            jx, jz = kernel(cfg, t, sigma0)
+            widths = cfg.sigma0 if sigma0 is None else sigma0
+            return np.where(widths == 1e-6, np.inf, jx), jz
+
+        kernel = distribution.exit_current_grid
+        monkeypatch.setattr(distribution, "exit_current_grid", failing_third)
+    cfgfile = tmp_path / "ladder.cfg"
+    cfgfile.write_text(text)
+    expected_warnings, expected = cell_by_cell(parse_config(text))
+    assert expected_warnings
+    assert ("non-finite" if inject else "nothing to normalize") \
+        in str(expected)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["table", "--config", str(cfgfile), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert [str(w.message) for w in caught] == expected_warnings
+    assert not (out / "table.csv").exists()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_preset_table_makes_one_kernel_call_for_its_norm_passes(
+        tmp_path, monkeypatch, preset):
+    calls = []
+    kernel = distribution.exit_current_grid
+
+    def counting_kernel(cfg, t, sigma0=None):
+        calls.append(None if sigma0 is None else np.unique(sigma0).size)
+        return kernel(cfg, t, sigma0)
+
+    monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
+    assert main(["table", "--preset", preset, "--out", str(tmp_path)]) \
+        == EXIT_OK
+    # the four norm passes, then the sigma0 = 1e-8 cell's tail pass alone,
+    # resolved at depth 2 (d = 1) or 3 (d = 2); the m1 passes make none
+    assert calls == [4] + [None] * {"I": 2, "II": 3}[preset]
+
+
+def test_a_long_ladder_measures_on_the_layouts_it_built(tmp_path,
+                                                       monkeypatch):
+    # 12 norm layouts and the tail's are more than the memo holds; the
+    # ladder's layouts wait for the memo, so no m1 pass builds one again
+    ladder = tuple(10.0 ** (-5.0 - 3.0 * k / 11) for k in range(12))
+    cfg = RunConfig(sigma0_ladder=ladder, output_dir=tmp_path)
+    built = []
+    build = quadrature._build_first_levels
+
+    def counting_build(keys):
+        built.extend(keys)
+        return build(keys)
+
+    monkeypatch.setattr(quadrature, "_build_first_levels", counting_build)
+    quadrature._first_levels.cache_clear()
+    run_table(cfg)
+    assert quadrature._first_levels.cache_info().maxsize <= 8
+    assert len(built) == len(set(built)) == 12 + 1

@@ -12,13 +12,13 @@ from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     integrate_full, mean_phi,
                     measure, peak_phi, pi_of_phi, variance_phi,
                     write_distribution_csv)
-from qclock import distribution
+from qclock import distribution, quadrature
 from qclock.cli import DEFAULT_SIGMA0_LADDER, PRESETS, RunConfig, run_table
 from qclock.current import exit_current_support
 from qclock.distribution import TWO_PI, scheme_weight
-from qclock.errors import (AmbiguousPeakError, DegenerateDistributionError,
-                           QClockError, UnsupportedSchemeError,
-                           ValidationError)
+from qclock.errors import (AmbiguousPeakError, ConvergenceError,
+                           DegenerateDistributionError, QClockError,
+                           UnsupportedSchemeError, ValidationError)
 from qclock.quadrature import QuadratureSpec
 from qclock.wavepacket import width
 
@@ -737,3 +737,143 @@ def test_pi_of_phi_is_the_from_density_route_bit_for_bit():
         assert_same_bits(ours.density_fn(grid),
                          weight(grid) / ours.norm_constant)
     assert built >= 16 + 60
+
+
+# ---- a ladder's distributions, built as one batch ----
+
+def seeded_ladders(count, seed):
+    """``count`` log-spaced ladders of 4-12 sigma0 in [1e-8, 1e-5] cm, as
+    the benchmark's ladder sweep draws them, presets alternating."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        rows = int(rng.integers(4, 13))
+        top, bottom = rng.uniform(-6.5, -5.0), rng.uniform(-8.0, -6.5)
+        yield PRESETS[("I", "II")[k % 2]], tuple(
+            float(10.0 ** (top + (bottom - top) * j / (rows - 1)))
+            for j in range(rows))
+
+
+def ladder_cells(d, ladder, schemes):
+    return [(PhysicsConfig(d=d, sigma0=sigma0), scheme)
+            for scheme in schemes for sigma0 in ladder]
+
+
+LADDERS = ([(d, DEFAULT_SIGMA0_LADDER, schemes)
+            for d in PRESETS.values()
+            for schemes in ((TOTAL,), (SCH,), (TOTAL, SCH))]
+           + [(d, ladder, (TOTAL,)) for d, ladder in seeded_ladders(6, 2611)]
+           + [(d, ladder, (SCH, TOTAL)) for d, ladder in seeded_ladders(2, 2612)])
+
+
+def bits(value):
+    return np.asarray(value, dtype=np.float64).view(np.uint64)
+
+
+def built_alone_and_as_a_ladder(cells, quad):
+    """Each cell's distribution from ``pi_of_phi``, and from one batch,
+    with the warnings each way emitted."""
+    with warnings.catch_warnings(record=True) as alone_warnings:
+        warnings.simplefilter("always")
+        alone = [pi_of_phi(cfg, scheme, quad) for cfg, scheme in cells]
+    with warnings.catch_warnings(record=True) as ladder_warnings:
+        warnings.simplefilter("always")
+        batch = list(distribution._distributions(cells, quad))
+    assert [str(w.message) for w in ladder_warnings] \
+        == [str(w.message) for w in alone_warnings]
+    return alone, batch
+
+
+@pytest.mark.parametrize("order", [16, 17])
+@pytest.mark.parametrize("d, ladder, schemes", LADDERS)
+def test_a_ladder_batch_gives_each_cell_its_own_bits(d, ladder, schemes,
+                                                     order):
+    # at order 17 a cell's points start at call offsets that are not
+    # multiples of 8, so the SIMD remainders of exp and sin are exercised
+    quad = QuadratureSpec(panel_order=order)
+    cells = ladder_cells(d, ladder, schemes)
+    alone, batch = built_alone_and_as_a_ladder(cells, quad)
+    for want, got in zip(alone, batch, strict=True):
+        for name in ("norm_constant", "nodes", "truncated_tail_mass",
+                     "support", "split_hints"):
+            assert np.array_equal(bits(getattr(got, name)),
+                                  bits(getattr(want, name))), name
+        for got_part, want_part in zip(got._first_level, want._first_level):
+            assert np.array_equal(bits(got_part), bits(want_part))
+        assert got.meta == want.meta and got.quad == want.quad
+
+
+def test_the_seeded_ladders_include_tail_cells():
+    # cells whose current reaches past one turn, so that their tail pass
+    # runs in the second batch
+    def reaches_past(cfg):
+        return 2.0 * cfg.omega * exit_current_support(cfg)[1] > TWO_PI
+    seeded = [cells for d, ladder, schemes in LADDERS[6:]
+              for cells in [ladder_cells(d, ladder, schemes)]]
+    assert sum(any(reaches_past(cfg) for cfg, _s in cells)
+               for cells in seeded) >= 3
+
+
+def test_a_ladder_makes_one_kernel_call_per_level(monkeypatch):
+    calls = []
+
+    def counting_kernel(cfg, t, sigma0=None):
+        calls.append(np.asarray(t).size)
+        return exit_current_grid(cfg, t, sigma0)
+
+    monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
+    cells = ladder_cells(1.0, DEFAULT_SIGMA0_LADDER, (TOTAL, SCH))
+    dists = list(distribution._distributions(cells, QuadratureSpec()))
+    # one call holds every cell's first level; the two sigma0 = 1e-8 cells
+    # run their tail passes together, resolved at depth 2
+    first = sum(dist._first_level[0].size for dist in dists)
+    assert calls[0] == first and len(calls) == 1 + 2
+
+
+def test_a_batch_fails_each_integral_as_it_fails_alone():
+    # at a depth too small for some cells, each integral ends with the
+    # ConvergenceError, best estimate included, that its own pass raises,
+    # and the others converge as they do alone
+    spec = QuadratureSpec(rel_tol=1e-14, max_depth=3)
+    cells = ladder_cells(1.0, tuple(10.0 ** (-5.0 - k / 3) for k in range(10)),
+                         (TOTAL, SCH))
+    hints = [pi_of_phi(cfg, scheme).split_hints for cfg, scheme in cells]
+    outcomes, _layouts, _firsts = quadrature._integrate_batch(
+        distribution._ladder_weight(
+            cells, [scheme_weight(*cell) for cell in cells]),
+        [(0.0, TWO_PI, h) for h in hints], spec)
+    failed = 0
+    for (cfg, scheme), h, got in zip(cells, hints, outcomes, strict=True):
+        try:
+            want = integrate_full(scheme_weight(cfg, scheme), 0.0, TWO_PI,
+                                  spec, h)
+        except ConvergenceError as exc:
+            failed += 1
+            assert type(got) is ConvergenceError and str(got) == str(exc)
+            assert bits(got.best_estimate) == bits(exc.best_estimate)
+            assert bits(got.error_estimate) == bits(exc.error_estimate)
+        else:
+            assert (bits(got.value), bits(got.error), got.n_evals,
+                    got.n_panels) == (bits(want.value), bits(want.error),
+                                      want.n_evals, want.n_panels)
+    assert 0 < failed < len(cells)
+
+
+def test_a_pass_error_is_deferred_to_its_cell(monkeypatch):
+    # a non-finite value in one cell's points fails that cell alone, with
+    # the message its own pass gives, and the other cells are built
+    def bad_at_1e7(cfg, t, sigma0=None):
+        jx, jz = exit_current_grid(cfg, t, sigma0)
+        widths = cfg.sigma0 if sigma0 is None else sigma0
+        return np.where(widths == 1e-7, np.nan, jx), jz
+
+    monkeypatch.setattr(distribution, "exit_current_grid", bad_at_1e7)
+    cells = ladder_cells(1.0, DEFAULT_SIGMA0_LADDER, (TOTAL,))
+    with pytest.raises(ValidationError) as alone:
+        pi_of_phi(*cells[2])
+    ladder = distribution._distributions(cells, QuadratureSpec())
+    assert next(ladder).meta["sigma0_cm"] == "1e-05"
+    assert next(ladder).meta["sigma0_cm"] == "1e-06"
+    with pytest.raises(ValidationError) as batched:
+        next(ladder)
+    assert str(batched.value) == str(alone.value)
+    assert "non-finite value near x=" in str(alone.value)

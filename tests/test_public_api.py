@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qclock
+from qclock.distribution import first_moment
 
 # Adding or removing an export is an API change: update this set with it.
 EXPECTED_ALL = {
@@ -41,8 +42,19 @@ SCHEME = qclock.ArrivalScheme.MODULUS_TOTAL_CURRENT
     (lambda: qclock.semiclassical_prediction({"d": 1}, 0.5),
      "cfg", "PhysicsConfig"),
     (lambda: qclock.measure("x", 0.5), "dist", "AngularDistribution"),
+    (lambda: qclock.peak_phi("x"), "dist", "AngularDistribution"),
+    (lambda: qclock.mean_phi({"d": 1}), "dist", "AngularDistribution"),
+    (lambda: qclock.variance_phi("x"), "dist", "AngularDistribution"),
+    (lambda: first_moment("x"), "dist", "AngularDistribution"),
+    (lambda: qclock.density_matrix("x"), "dist", "AngularDistribution"),
+    (lambda: qclock.write_distribution_csv("x", "unused.csv"),
+     "dist", "AngularDistribution"),
+    (lambda: qclock.width({"d": 1}, 0.5), "cfg", "PhysicsConfig"),
 ], ids=["pi_of_phi-cfg", "pi_of_phi-quad", "from_density-quad",
-        "integrate-spec", "semiclassical-cfg", "measure-dist"])
+        "integrate-spec", "semiclassical-cfg", "measure-dist",
+        "peak_phi-dist", "mean_phi-dist", "variance_phi-dist",
+        "first_moment-dist", "density_matrix-dist",
+        "write_distribution_csv-dist", "width-cfg"])
 def test_arguments_of_the_wrong_type_raise_validation_error(call, name,
                                                             kind):
     with pytest.raises(qclock.ValidationError,
