@@ -79,14 +79,15 @@ class AngularDistribution:
     normalization pass, and only ``from_density`` checks the density's
     values for sign and shape.  ``density_fn`` is the continuous
     normalized density used by every downstream integral.  That pass
-    keeps one read-only record of its first level: its nodes and the rows
-    [w, w*cos, w*sin] of the normalized density w there.  Given exactly
-    those nodes, ``density_fn`` returns row 0 and ``first_moment``'s
-    integrand all three rows, instead of calling the density again; a
-    caller that writes to either must copy it first.  ``peak_phi``
-    brackets the maximum of a distribution with a ``log_slope`` on
-    row 0.  No observable is kept: each m1 pass runs anew from the
-    record.
+    keeps one read-only record of its first level, ``_first_level``:
+    its layout (``_integrate_batch``'s six arrays, the nodes last) and
+    the rows [w, w*cos, w*sin] of the normalized density w at those
+    nodes.  Every later pass over [0, 2*pi] at ``quad`` (``first_moment``,
+    ``mean_phi``, ``variance_phi``) is given that layout and its
+    integrand's values there, computed from the rows, so its first level
+    calls the density no more.  ``peak_phi`` brackets the maximum of a
+    distribution with a ``log_slope`` on row 0.  No observable is kept:
+    each pass runs anew from the record.
     ``norm_constant`` is the unnormalized total that was divided out;
     ``nodes`` holds the accepted abscissas of that normalization pass;
     ``quad`` is the spec it was built with, which every observable reuses.
@@ -125,7 +126,7 @@ class AngularDistribution:
     split_hints: tuple
     truncated_tail_mass: float
     meta: Mapping[str, str]
-    _first_level: Optional[tuple] = field(default=None, repr=False)
+    _first_level: tuple = field(repr=False)
     log_slope: Optional[Callable[[float], float]] = field(default=None,
                                                           repr=False)
     support: tuple = (-math.inf, math.inf)
@@ -147,18 +148,17 @@ class AngularDistribution:
         share the call, since the quadrature evaluates many panels' nodes
         in one call.  The pass's first call, on the nodes of its hint
         panels and their first bisection, is kept divided by the norm,
-        with its cos and sin moment rows: every later pass over the
-        distribution (``measure``, ``density_matrix``, ``mean_phi``,
-        ``variance_phi``) starts from those nodes, found by identity or
-        else by equal values, so that its first level calls ``fn`` no
-        more.  Because ``fn`` is elementwise these are the values it
-        would return.  ``split_hints`` must *bracket* any
+        with its cos and sin moment rows and the layout of those nodes:
+        every later pass over the distribution (``measure``,
+        ``density_matrix``, ``mean_phi``, ``variance_phi``) is given
+        them, so that its first level calls ``fn`` no more.  Because
+        ``fn`` is elementwise these are the values it would return.
+        ``split_hints`` must *bracket* any
         feature much narrower than the domain, not merely mark it: panels
         whose nodes all miss a spike evaluate to zero and get accepted as
         converged.  Use a ladder of points on both flanks (see
         ``bracketing_hints``).  They are stored as a tuple of Python
-        floats, the key under which every pass over this distribution
-        finds its quadrature layout.  ``quad`` is None, for the default
+        floats.  ``quad`` is None, for the default
         spec, or a ``QuadratureSpec``; anything else raises
         ``ValidationError``.
         """
@@ -178,7 +178,7 @@ class AngularDistribution:
         outcomes, (layout,), (first,) = _integrate_batch(
             nonnegative, [(0.0, TWO_PI, hints)], quad, keep_nodes=True)
         norm, nodes, first_level, density_fn = _normalized(
-            fn, _result(outcomes), layout[-1], first)
+            fn, _result(outcomes), layout, first)
         return cls(density_fn=density_fn, norm_constant=norm, nodes=nodes,
                    quad=quad, split_hints=hints, truncated_tail_mass=0.0,
                    meta=dict(meta) if meta else {}, _first_level=first_level)
@@ -226,13 +226,6 @@ def _uniform_grid() -> np.ndarray:
     return uniform
 
 
-def _same_nodes(phi: np.ndarray, nodes: np.ndarray) -> bool:
-    """Whether ``phi`` holds exactly ``nodes``: the same array, or equal
-    values, as when the layout memo has rebuilt them as a new array."""
-    return phi is nodes or (phi.shape == nodes.shape
-                            and np.array_equal(phi, nodes))
-
-
 def _moment_rows(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The rows [w, w*cos, w*sin] of the first trigonometric moment's
     integrand at ``phi``, filled in place (cos*w is w*cos to the bit)."""
@@ -248,35 +241,31 @@ def _check_nonnegative(values: np.ndarray) -> None:
         raise ValidationError("density is negative somewhere on the grid")
 
 
-def _normalized(fn, total: QuadratureResult, first_nodes, first_values):
+def _normalized(fn, total: QuadratureResult, layout, first_values):
     """(norm, nodes, first_level, density_fn) of a density ``fn`` from the
     result ``total`` of its normalization pass over [0, 2*pi]
-    (``_integrate_batch``) and the values it gave at ``first_nodes`` in
-    the pass's first call.
+    (``_integrate_batch``), the layout of the pass's first call and the
+    values fn gave at that layout's nodes there.
 
     ``norm`` is the pass's total, ``nodes`` its accepted abscissas, and
-    ``first_level`` the read-only record of its first call: those nodes
-    and the rows [w, w*cos, w*sin] of w = first_values/norm there.
-    ``density_fn`` is fn/norm, which gives row 0 for exactly those nodes.
-    ``first_values`` is node-major, in any shape with one value per node,
-    and no later call of fn may overwrite it.  A total that is 0 or not
-    finite raises ``DegenerateDistributionError``.
+    ``first_level`` the read-only record of its first call: ``layout``
+    and the rows [w, w*cos, w*sin] of w = first_values/norm at its nodes.
+    ``density_fn`` is fn/norm.  ``first_values`` is node-major, in any
+    shape with one value per node.  A total that is 0 or not finite
+    raises ``DegenerateDistributionError``.
     """
     norm = total.value
     if not math.isfinite(norm) or norm <= 0.0:
         raise DegenerateDistributionError(_nothing_to_normalize(norm))
+    first_nodes = layout[-1]
     first_rows = _moment_rows(
         first_nodes, (first_values / norm).reshape(first_nodes.shape))
     first_rows.flags.writeable = False
 
     def density_fn(phi, _fn=fn, _norm=norm):
-        phi = np.asarray(phi, dtype=np.float64)
-        # fn is elementwise, so these are the values it would give
-        if _same_nodes(phi, first_nodes):
-            return first_rows[0]
-        return np.asarray(_fn(phi)) / _norm
+        return np.asarray(_fn(np.asarray(phi, dtype=np.float64))) / _norm
 
-    return norm, total.nodes, (first_nodes, first_rows), density_fn
+    return norm, total.nodes, (layout, first_rows), density_fn
 
 
 def _nothing_to_normalize(total: float) -> str:
@@ -385,10 +374,9 @@ def _distributions(cells, quad: QuadratureSpec, stacklevel: int = 2):
     tail warning emitted with ``stacklevel`` counted from here, only when
     the walk reaches the cell.  So a ladder emits the same warnings and
     raises the same first error, in the same order, as a loop that calls
-    ``pi_of_phi`` per cell and uses each cell before the next.  The
-    ladder's first-level layouts wait, unclaimed, for the layout memo, so
-    the passes over a cell that follow build none again, however many
-    cells the ladder has.
+    ``pi_of_phi`` per cell and uses each cell before the next.  Each
+    distribution keeps its own first-level layout, so the passes over a
+    cell that follow build none, however many cells the ladder has.
     """
     cells = list(cells)
     parts = _ladder_parts(cells, quad)[::-1]
@@ -464,7 +452,7 @@ def _ladder_parts(cells, quad: QuadratureSpec) -> list:
             parts[i] = outcome
             continue
         try:
-            parts[i][2] = _normalized(weight, outcome, layout[-1], first)
+            parts[i][2] = _normalized(weight, outcome, layout, first)
         except QClockError as exc:
             parts[i] = exc.with_traceback(None)
             continue
@@ -515,8 +503,8 @@ def _ladder_weight(cells, weights):
         # node-major: column p of every row is a point of panel p
         t = (phi / two_omega).reshape(-1, owner.size)
         jx, jz = exit_current_grid(cfg, t, sigma0=widths[owner])
-        if mixed is not None:
-            values = np.where(mixed[owner], np.hypot(jx, jz), np.abs(jx))
+        if mixed is not None:  # hypot(jx, +0.0) is |jx| (C99 F.9.4.3)
+            values = np.hypot(jx, np.where(mixed[owner], jz, 0.0))
         else:
             values = np.hypot(jx, jz) if total[0] else np.abs(jx)
         return values.ravel()
@@ -529,9 +517,9 @@ def peak_phi(dist: AngularDistribution) -> float:
     either side of the largest of the density's known values.
 
     With a ``log_slope`` (every ``pi_of_phi`` distribution), the known
-    values are those the normalization pass already computed: the nodes
-    and row 0 of ``_first_level``.  The maximum is the root of that
-    closed form between the largest value's neighbouring nodes (0 or
+    values are those the normalization pass already computed: row 0 of
+    ``_first_level`` at its layout's nodes.  The maximum is the root of
+    that closed form between the largest value's neighbouring nodes (0 or
     2*pi beyond the first or last node), found to adjacent doubles in
     Python floats with no density call (``_slope_root``); a slope of one
     sign throughout gives the end it points to.  Neither ``grid`` nor
@@ -560,8 +548,8 @@ def peak_phi(dist: AngularDistribution) -> float:
     if dist.log_slope is None:
         points, values = dist.grid, dist.density
     else:
-        points, rows = dist._first_level
-        values = rows[0]
+        layout, rows = dist._first_level
+        points, values = layout[-1], rows[0]
     i = int(np.argmax(values))
     top = float(values[i])
     if top <= 0.0:
@@ -662,21 +650,16 @@ def first_moment(dist: AngularDistribution) -> complex:
     One adaptive pass over the stacked integrand [w, w*cos, w*sin]: the
     density w dominates both trigonometric rows, so panels are accepted
     against the mass row and C and S share its panels and evaluations.
-    The pass's first level is the normalization pass's, whose rows
-    ``from_density`` kept; so only a deeper level calls the density or
+    The pass's first level is the normalization pass's, whose rows the
+    distribution kept; so only a deeper level calls the density or
     computes cos and sin.  On the preset cells none does.  m1 itself is
     not kept: every call runs the pass.  A ``dist`` that is not an
     ``AngularDistribution`` raises ``ValidationError``.
     """
     check_type("dist", dist, AngularDistribution)
-    nodes, rows = dist._first_level or (None, None)
-
-    def stacked(phi):
-        if nodes is not None and _same_nodes(phi, nodes):
-            return rows
-        return _moment_rows(phi, dist.density_fn(phi))
-
-    _mass, c, s = integrate(stacked, 0.0, TWO_PI, dist.quad, dist.split_hints)
+    _mass, c, s = _integral(
+        dist, lambda phi: _moment_rows(phi, dist.density_fn(phi)),
+        dist._first_level[1])
     return complex(c, s)
 
 
@@ -684,16 +667,29 @@ def mean_phi(dist: AngularDistribution) -> float:
     """First moment of the angular density; ``ValidationError`` for a
     ``dist`` that is not an ``AngularDistribution``."""
     check_type("dist", dist, AngularDistribution)
-    return integrate(lambda p: p * dist.density_fn(p), 0.0, TWO_PI,
-                     dist.quad, dist.split_hints)
+    layout, rows = dist._first_level
+    return _integral(dist, lambda p: p * dist.density_fn(p),
+                     layout[-1] * rows[0])
 
 
 def variance_phi(dist: AngularDistribution) -> float:
     """Central second moment of the angular density, rad^2; ``ValidationError``
     for a ``dist`` that is not an ``AngularDistribution``."""
     mean = mean_phi(dist)
-    return integrate(lambda p: (p - mean) ** 2 * dist.density_fn(p),
-                     0.0, TWO_PI, dist.quad, dist.split_hints)
+    layout, rows = dist._first_level
+    return _integral(dist, lambda p: (p - mean) ** 2 * dist.density_fn(p),
+                     (layout[-1] - mean) ** 2 * rows[0])
+
+
+def _integral(dist: AngularDistribution, f, first_values):
+    """The integral of f over [0, 2*pi] at ``dist.quad``, on the kept
+    first-level layout, where ``first_values`` are f's values (from the
+    kept rows): f is called only at deeper levels."""
+    layout = dist._first_level[0]
+    outcomes, _layouts, _firsts = _integrate_batch(
+        f, [(0.0, TWO_PI, dist.split_hints)], dist.quad,
+        first=(layout, first_values))
+    return _result(outcomes).value
 
 
 def write_distribution_csv(dist: AngularDistribution, path) -> None:

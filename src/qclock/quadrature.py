@@ -42,14 +42,14 @@ level for all its cells.
 The node array a call passes to the integrand is node-major: viewed as
 (order, panels), row j holds node j of every panel.  The first two levels'
 layout (the hint panels, their children, and the half-widths and nodes of
-the call over both) depends only on (interval, hints, order), so it is
-built once per key and kept in a memo of at most 8 entries; a batch
-builds the layouts of all its keys at once, and each waits until the
-memo first asks for it.  Every array in a layout is read-only, as is
-every node array an integrand receives.  The
-key's hints are the distribution's hints tuple (Python floats, normalised
-once when the distribution is built); other hint iterables are converted
-on every call.  Deeper levels build their layouts with the same function.
+the call over both) depends only on (interval, hints, order).  A batch
+builds the layouts of all its integrals in one pass and returns each
+one's, with the integrand's values at its nodes; a later pass over the
+same integral can be given that layout and its own integrand's values
+there, and then calls the integrand only from the second bisection on.
+Every array in a layout is read-only, as is every node array an
+integrand receives.  Deeper levels build their layouts with the same
+function.
 
 Determinism matters: output files must be byte-identical across runs and
 installs.  Every panel estimate is ``half * sum_j w_j*f(x_j)``, each
@@ -101,8 +101,7 @@ class QuadratureSpec:
     """Tolerance and panel parameters for the adaptive integrator.
 
     Any real ``rel_tol`` and any integral order and depth (``bool`` aside)
-    are accepted, and stored as a Python float and Python ints: the layout
-    memo is keyed by ``panel_order``.
+    are accepted, and stored as a Python float and Python ints.
     """
 
     rel_tol: float = 1e-10
@@ -195,58 +194,14 @@ def _layout(order, lefts, rights):
     return half, flat
 
 
-@lru_cache(maxsize=8)
-def _first_levels(a, b, hints, order):
-    """The hint panels, their children, and the half-widths and nodes of
-    the one call that evaluates both (parents first, then children), for
-    one (interval, hints, order); every array is read-only, since later
-    passes share it.  A layout that a batch built and left unclaimed
-    (``_batch_first_levels``) is taken as it is, not built again.
-
-    A distribution reuses at most three keys (its hinted interval, the
-    tail interval and the order+2 norm check), so a few entries suffice;
-    a preset cell's entry takes about 10 KB.
-    """
-    key = (a, b, hints, order)
-    layout = _unclaimed.pop(key, None)
-    return _build_first_levels([key])[1][0] if layout is None else layout
-
-
-#: The layouts that the last batch of several keys built, until the memo
-#: first asks for each: a ladder longer than the memo builds none twice.
-_unclaimed: dict = {}
-
-
-def _batch_first_levels(spans, order):
-    """The first-level layout of each (a, b, hints) of ``spans``, and the
-    layout of their joint call (their calls side by side, in order).
-
-    A single key's layout is the memo's; several keys are built in one
-    pass and left unclaimed for the memo."""
-    keys = [(a, b, hints, order) for a, b, hints in spans]
-    if keys.count(keys[0]) == len(keys):
-        layout = _first_levels(*keys[0])
-        layouts = [layout] * len(keys)
-        joint = [np.concatenate([part] * len(keys)) for part in layout[:5]]
-        joint.append(np.tile(layout[5].reshape(order, -1),
-                             len(keys)).ravel())
-        joint[5].flags.writeable = False
-        return layouts, joint
-    joint, layouts = _build_first_levels(keys)
-    _unclaimed.clear()
-    _unclaimed.update(zip(keys, layouts))
-    return layouts, joint
-
-
-def _build_first_levels(keys):
-    """The layout of the joint call of ``keys``, (a, b, hints, order)
-    sharing one order, and each key's own layout, from one bisection and
-    one node layout over all their panels.  A key that recurs gets the
-    layout of its first place.  Each key's arrays are read-only views of
-    the joint ones, except its node array, which is its own."""
-    order = keys[0][3]
+def _first_layouts(spans, order):
+    """The layout of the joint call of ``spans``, (a, b, hints) at one
+    order, and each span's own layout, from one bisection and one node
+    layout over all their panels.  A span that recurs gets the layout of
+    its first place.  Each span's arrays are read-only views of the joint
+    ones, except its node array, which is its own."""
     lefts, rights, sizes = [], [], []
-    for a, b, hints, _order in keys:
+    for a, b, hints in spans:
         edges = [a]
         for h in sorted(set(hints)):
             if a < h < b:
@@ -259,36 +214,34 @@ def _build_first_levels(keys):
     child_lefts, child_rights = _bisect(lefts, rights)
     call_lefts = np.concatenate((lefts, child_lefts))
     call_rights = np.concatenate((rights, child_rights))
-    if len(keys) > 1:
+    if len(spans) > 1:
         bounds = [0, *accumulate(sizes)]
-        spans = [*zip(bounds, bounds[1:])]
-        # each key's part of the call holds its parents, then its children
+        parts = [*zip(bounds, bounds[1:])]
+        # each span's part of the call holds its parents, then its children
         total = bounds[-1]
-        index = np.concatenate([part for p, q in spans for part in (
+        index = np.concatenate([part for p, q in parts for part in (
             np.arange(p, q), np.arange(total + 2 * p, total + 2 * q))])
         call_lefts, call_rights = call_lefts[index], call_rights[index]
     half, flat = _layout(order, call_lefts, call_rights)
     joint = (lefts, rights, child_lefts, child_rights, half, flat)
     for arr in joint[:5]:
         arr.flags.writeable = False
-    if len(keys) == 1:
+    if len(spans) == 1:
         return joint, [joint]
     flat = flat.reshape(order, -1)
     own = {}
-    for key, (p, q) in zip(keys, spans):
-        if key not in own:
+    for span, (p, q) in zip(spans, parts):
+        if span not in own:
             nodes = flat[:, 3 * p:3 * q].ravel()
             nodes.flags.writeable = False
-            own[key] = (lefts[p:q], rights[p:q], child_lefts[2 * p:2 * q],
-                        child_rights[2 * p:2 * q], half[3 * p:3 * q], nodes)
-    return joint, [own[key] for key in keys]
+            own[span] = (lefts[p:q], rights[p:q], child_lefts[2 * p:2 * q],
+                         child_rights[2 * p:2 * q], half[3 * p:3 * q], nodes)
+    return joint, [own[span] for span in spans]
 
 
 def hint_tuple(split_hints: Iterable[float]) -> tuple:
-    """``split_hints`` as a tuple of Python floats, returned as it is when
-    it already is one; ``ValidationError`` for a hint that is no number."""
-    if type(split_hints) is tuple and set(map(type, split_hints)) <= {float}:
-        return split_hints
+    """``split_hints`` as a tuple of Python floats; ``ValidationError``
+    for a hint that is no number."""
     try:
         return tuple(float(h) for h in split_hints)
     except (TypeError, ValueError) as exc:
@@ -306,18 +259,19 @@ class _NonFinite(Exception):
         self.estimates, self.raw, self.bad = estimates, raw, bad
 
 
-def _panel_values(f, order, half, flat):
+def _panel_values(values, order, half):
     """Gauss-Legendre estimates, shape (k, panels), of every panel of one
-    call of f on the node-major ``flat``, and f's values there, shape
-    (n,) or (k, n); ``_NonFinite`` when a value is not finite.
+    call that gave ``values`` at its node-major nodes, and those values
+    as float64, shape (n,) or (k, n); ``_NonFinite`` when a value is not
+    finite.
 
     Each estimate is ``half * sum_j w_j*f(x_j)``, summed in ascending j
     elementwise across panels (see the module docstring).  A value that
     is not finite makes its panel's estimate not finite, so the values
     are checked only when the estimates' sum is not finite.
     """
-    n = flat.size
-    raw = np.asarray(f(flat))
+    n = order * half.size
+    raw = np.asarray(values)
     if raw.dtype is not _FLOAT64:
         if np.iscomplexobj(raw):
             raise ValidationError(
@@ -368,10 +322,10 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     ascending node order, so no BLAS kernel touches the result (see the
     module docstring).  ``split_hints`` lists interior abscissas (e.g. a
     known spike location) at which the interval is pre-split before any
-    adaptivity runs; a tuple of Python floats is used as it is, and any
-    other iterable is converted on every call.  ``spec`` is None, for
-    ``DEFAULT_SPEC``, or a ``QuadratureSpec``; anything else raises
-    ValidationError.  This is the batch of one of ``_integrate_batch``.
+    adaptivity runs; they are converted to Python floats.  ``spec`` is
+    None, for ``DEFAULT_SPEC``, or a ``QuadratureSpec``; anything else
+    raises ValidationError.  This is the batch of one of
+    ``_integrate_batch``.
 
     Raises ConvergenceError when panels remain unconverged at max_depth, or
     when more than MAX_LIVE_PANELS of them remain after any level; the
@@ -426,7 +380,8 @@ class _Pass:
                    else None))
 
 
-def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False):
+def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
+                     first=None):
     """Integrate f over each (a, b, hints) of ``spans`` in lockstep: each
     level makes one call of f for every live panel of every integral.
 
@@ -442,28 +397,35 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False):
     its own ``_ordered_sum``.  Every estimate is elementwise across
     panels, so each integral's result has the bits it has alone.
 
+    ``first``, for one span, is (layout, values): the span's layout as
+    this function returned it for an earlier pass at the same order, and
+    f's values at its nodes.  The first call then takes those values and
+    f is called only from the second bisection on; as f is elementwise,
+    the result is the one f would give.
+
     Returns the lists (outcomes, layouts, firsts), one entry per span.
     An integral's outcome is its ``QuadratureResult``, or the
     ``ConvergenceError`` or the ``ValidationError`` (for a value that is
     not finite) that ended its pass while the others ran on; its layout
-    is its entry of ``_first_levels``; and its first is the values f gave
-    at that layout's nodes in the first call: f's own array for one span,
-    and for several a view of its part of the call, shaped (order,
-    panels) after any leading row axis.  An exception that f raises, or
-    a malformed value, ends every integral.
+    is the six read-only arrays of its first call (its hint panels' edges,
+    their children's, and the half-widths and nodes of the call over
+    both); and its first is the values f gave at that layout's nodes in
+    the first call: f's own array for one span, and for several a view of
+    its part of the call, shaped (order, panels) after any leading row
+    axis.  An exception that f raises, or a malformed value, ends every
+    integral.
     """
     order, rel_tol = spec.panel_order, spec.rel_tol
+    if first is None:
+        (joint, layouts), given = _first_layouts(spans, order), None
+    else:
+        (joint, given), layouts = first, [first[0]]
+    lefts, rights, child_lefts, child_rights, half, flat = joint
+    live = [_Pass(i, layout[0].size, order)
+            for i, layout in enumerate(layouts)]
     if len(spans) == 1:
-        layouts = [_first_levels(*spans[0], order)]
-        lefts, rights, child_lefts, child_rights, half, flat = layouts[0]
-        live = [_Pass(0, lefts.size, order)]
         call = f
     else:
-        layouts, (lefts, rights, child_lefts, child_rights, half, flat) = \
-            _batch_first_levels(spans, order)
-        live = [_Pass(i, layout[0].size, order)
-                for i, layout in enumerate(layouts)]
-
         def call(x):  # f, told the owners of the current level's panels
             return f(x, owner)
     outcomes: list = [None] * len(spans)
@@ -480,7 +442,9 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False):
             owner = np.repeat([acc.index for acc in live],
                               [width * acc.size for acc in live])
         try:
-            child_vals, raw = _panel_values(call, order, half, flat)
+            child_vals, raw = _panel_values(
+                call(flat) if depth > 1 or given is None else given, order,
+                half)
             bad = None
         except _NonFinite as exc:
             child_vals, raw, bad = exc.estimates, exc.raw, exc.bad

@@ -6,16 +6,20 @@ For each cell (a physics config and a current scheme) it prints the
 ``mean_phi`` and ``variance_phi``, or the class and message of the typed
 error a step raised.  A warning that a step emits is printed too.  The
 cells are the 8 preset cells under both current schemes, then a
-fixed-seed set of off-preset configs.  Two trees, or two environments,
+fixed-seed set of off-preset configs.  After them come 12 seeded
+densities normalized by ``AngularDistribution.from_density``, von Mises
+bumps with and without split hints, each with the ``repr`` of its
+``norm_constant``, m1 (``first_moment``), ``mean_phi``,
+``variance_phi`` and ``peak_phi``.  Two trees, or two environments,
 compute the same values when their transcripts are equal::
 
     PYTHONPATH=src python tests/library_transcript.py > transcript.txt
 
 ``--configs N`` sets the number of off-preset configs (default 200) and
-``--seed S`` their seed (default 0).  ``--against FILE`` prints, instead
-of the transcript, every line that differs from the transcript in FILE,
-under the line of its cell, with both sides, and exits with status 1 if
-any line differs::
+``--seed S`` their seed and that of the densities (default 0).
+``--against FILE`` prints, instead of the transcript, every line that
+differs from the transcript in FILE, under the line of its cell, with
+both sides, and exits with status 1 if any line differs::
 
     PYTHONPATH=src python tests/library_transcript.py --against transcript.txt
 """
@@ -30,13 +34,19 @@ import sys
 import warnings
 from pathlib import Path
 
-from qclock import (ArrivalScheme, PhysicsConfig, density_matrix, measure,
-                    peak_phi, pi_of_phi)
-from qclock.distribution import TWO_PI, mean_phi, variance_phi
+import numpy as np
+
+from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
+                    bracketing_hints, density_matrix, measure, peak_phi,
+                    pi_of_phi)
+from qclock.distribution import TWO_PI, first_moment, mean_phi, variance_phi
 from qclock.errors import QClockError
 
 SCHEMES = (ArrivalScheme.MODULUS_TOTAL_CURRENT,
            ArrivalScheme.MODULUS_SCHRODINGER_CURRENT)
+
+#: The number of seeded ``from_density`` cells.
+DENSITY_CELLS = 12
 
 
 def preset_cells():
@@ -60,6 +70,18 @@ def offpreset_cells(count: int, seed: int):
                    "B": log_uniform(1.0, 100.0),
                    "sigma0": log_uniform(1e-9, 1e-3)}
         yield physics, rng.choice(SCHEMES)
+
+
+def density_cells(count: int, seed: int):
+    """``count`` seeded (kappa, center, hinted) of von Mises bumps
+    exp(kappa*(cos(phi - center) - 1)): center uniform in [0, 2*pi), and
+    every other bump split at ``bracketing_hints`` of its width
+    1/sqrt(kappa), with kappa log-uniform in 1-1e8, the others in 1-1e3."""
+    rng = random.Random(seed)
+    for k in range(count):
+        hinted = k % 2 == 0
+        kappa = 10.0 ** rng.uniform(0.0, 8.0 if hinted else 3.0)
+        yield kappa, rng.uniform(0.0, TWO_PI), hinted
 
 
 def _step(lines, name, thunk, quiet=False):
@@ -105,6 +127,32 @@ def transcript(cells, seed: int) -> list[str]:
     return lines
 
 
+def density_transcript(cells) -> list[str]:
+    """The transcript lines of the ``from_density`` ``cells``
+    (``density_cells``)."""
+    lines = []
+    for kappa, center, hinted in cells:
+        lines.append(f"from_density kappa={kappa!r} center={center!r} "
+                     f"hinted={hinted}")
+        hints = bracketing_hints(center, kappa ** -0.5) if hinted else ()
+
+        def bump(phi, kappa=kappa, center=center):
+            # kappa*(cos(x) - 1), without cos(x) rounding to 1 near x = 0
+            return np.exp(-2.0 * kappa * np.sin(0.5 * (phi - center)) ** 2)
+
+        dist = _step(lines, "from_density",
+                     lambda: AngularDistribution.from_density(
+                         bump, split_hints=hints), True)
+        if dist is None:
+            continue
+        lines.append(f"  norm_constant = {dist.norm_constant!r}")
+        _step(lines, "first_moment", lambda: first_moment(dist))
+        _step(lines, "mean_phi", lambda: mean_phi(dist))
+        _step(lines, "variance_phi", lambda: variance_phi(dist))
+        _step(lines, "peak_phi", lambda: peak_phi(dist))
+    return lines
+
+
 def differences(theirs: list[str], ours: list[str]) -> list[str]:
     """Each run of lines that differs between two transcripts, as the
     line of its cell in ``ours``, then ``- `` and ``+ `` lines for
@@ -130,6 +178,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cells = [*preset_cells(), *offpreset_cells(args.configs, args.seed)]
     lines = transcript(cells, args.seed)
+    lines += density_transcript(density_cells(DENSITY_CELLS, args.seed))
     if args.against is None:
         print("\n".join(lines))
         return 0

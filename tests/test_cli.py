@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qclock import PhysicsConfig, cli, distribution, measure, quadrature
+from qclock import (PhysicsConfig, cli, distribution, measure, measurement,
+                    quadrature)
 from qclock.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE,
                         EXIT_VALIDATION, PRESETS, RunConfig,
                         default_thetas_deg, main, parse_config, run_curve,
@@ -866,21 +867,27 @@ def test_a_preset_table_makes_one_kernel_call_for_its_norm_passes(
     assert calls == [4] + [None] * {"I": 2, "II": 3}[preset]
 
 
-def test_a_long_ladder_measures_on_the_layouts_it_built(tmp_path,
-                                                       monkeypatch):
-    # 12 norm layouts and the tail's are more than the memo holds; the
-    # ladder's layouts wait for the memo, so no m1 pass builds one again
+def test_measuring_a_long_ladder_builds_no_layout(tmp_path, monkeypatch):
+    # the ladder's norm and tail batches build every first-level layout;
+    # each m1 pass is given its cell's kept layout and builds none
     ladder = tuple(10.0 ** (-5.0 - 3.0 * k / 11) for k in range(12))
     cfg = RunConfig(sigma0_ladder=ladder, output_dir=tmp_path)
-    built = []
-    build = quadrature._build_first_levels
+    events = []
+    build, m1 = quadrature._first_layouts, measurement.first_moment
 
-    def counting_build(keys):
-        built.extend(keys)
-        return build(keys)
+    def counting_build(spans, order):
+        events.append(len(spans))
+        return build(spans, order)
 
-    monkeypatch.setattr(quadrature, "_build_first_levels", counting_build)
-    quadrature._first_levels.cache_clear()
+    def counting_m1(dist):
+        events.append("m1")
+        return m1(dist)
+
+    monkeypatch.setattr(quadrature, "_first_layouts", counting_build)
+    monkeypatch.setattr(measurement, "first_moment", counting_m1)
     run_table(cfg)
-    assert quadrature._first_levels.cache_info().maxsize <= 8
-    assert len(built) == len(set(built)) == 12 + 1
+    first = events.index("m1")
+    # the 12 norm passes, then the tail passes of the cells that reach
+    # past one turn; then 3 angles of every cell
+    assert events[0] == 12 and len(events[1:first]) == 1
+    assert events[first:] == ["m1"] * 12 * 3

@@ -719,10 +719,12 @@ def test_pi_of_phi_is_the_from_density_route_bit_for_bit():
         assert isinstance(ours, AngularDistribution)
         assert_same_bits(ours.norm_constant, theirs.norm_constant)
         assert_same_bits(ours.nodes, theirs.nodes)
-        (nodes, rows), (their_nodes, their_rows) = (ours._first_level,
-                                                    theirs._first_level)
-        assert_same_bits(nodes, their_nodes)
+        (layout, rows), (their_layout, their_rows) = (ours._first_level,
+                                                      theirs._first_level)
+        for part, their_part in zip(layout, their_layout, strict=True):
+            assert_same_bits(part, their_part)
         assert_same_bits(rows, their_rows)
+        nodes = layout[-1]
         assert_same_bits(ours.split_hints, theirs.split_hints)
         assert all(type(h) is float for h in ours.split_hints)
         assert_same_bits(ours.support, theirs.support)
@@ -737,6 +739,34 @@ def test_pi_of_phi_is_the_from_density_route_bit_for_bit():
         assert_same_bits(ours.density_fn(grid),
                          weight(grid) / ours.norm_constant)
     assert built >= 16 + 60
+
+
+@pytest.mark.parametrize("kappa, hinted", [(50.0, False), (1e6, True)])
+def test_passes_over_a_from_density_distribution_are_plain_integrals(
+        kappa, hinted):
+    # m1, the mean and the variance start from the kept first level, and
+    # give the bits of the same integrals that call the density there too
+    center = 2.2
+
+    def bump(phi):
+        return np.exp(-2.0 * kappa * np.sin(0.5 * (phi - center)) ** 2)
+
+    hints = bracketing_hints(center, kappa ** -0.5) if hinted else ()
+    dist = AngularDistribution.from_density(bump, split_hints=hints)
+    w = dist.density_fn
+
+    def plain(f):
+        res = integrate_full(f, 0.0, TWO_PI, dist.quad, hints)
+        return res.value, res.n_evals
+
+    (_mass, c, s), evals = plain(lambda p: distribution._moment_rows(p, w(p)))
+    assert not hinted or evals == dist._first_level[0][-1].size
+    m1 = distribution.first_moment(dist)
+    assert_same_bits([m1.real, m1.imag], [c, s])
+    mean, _evals = plain(lambda p: p * w(p))
+    assert_same_bits(mean_phi(dist), mean)
+    variance, _evals = plain(lambda p: (p - mean) ** 2 * w(p))
+    assert_same_bits(variance_phi(dist), variance)
 
 
 # ---- a ladder's distributions, built as one batch ----
@@ -797,7 +827,10 @@ def test_a_ladder_batch_gives_each_cell_its_own_bits(d, ladder, schemes,
                      "support", "split_hints"):
             assert np.array_equal(bits(getattr(got, name)),
                                   bits(getattr(want, name))), name
-        for got_part, want_part in zip(got._first_level, want._first_level):
+        (got_layout, got_rows), (want_layout, want_rows) = (
+            got._first_level, want._first_level)
+        for got_part, want_part in zip((*got_layout, got_rows),
+                                       (*want_layout, want_rows), strict=True):
             assert np.array_equal(bits(got_part), bits(want_part))
         assert got.meta == want.meta and got.quad == want.quad
 
@@ -825,7 +858,7 @@ def test_a_ladder_makes_one_kernel_call_per_level(monkeypatch):
     dists = list(distribution._distributions(cells, QuadratureSpec()))
     # one call holds every cell's first level; the two sigma0 = 1e-8 cells
     # run their tail passes together, resolved at depth 2
-    first = sum(dist._first_level[0].size for dist in dists)
+    first = sum(dist._first_level[0][-1].size for dist in dists)
     assert calls[0] == first and len(calls) == 1 + 2
 
 

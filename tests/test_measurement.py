@@ -193,13 +193,13 @@ def test_spin_term_contribution_regression(dist_1e8):
 def test_one_integral_per_angle(dist_1e8, monkeypatch):
     # C and S come from one stacked pass, not one integral each
     calls = []
-    original = quadrature.integrate_full
+    original = distribution._integrate_batch
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "integrate_full", counting)
+    monkeypatch.setattr(distribution, "_integrate_batch", counting)
     measure(dist_1e8, SET_I.phi_peak)
     assert len(calls) == 1
     density_matrix(dist_1e8)
@@ -261,8 +261,7 @@ def test_moment_passes_reuse_the_norm_pass(monkeypatch, d, sigma0):
     assert calls == ([2 * 2 * dist.quad.panel_order] if sigma0 == 1e-8 else [])
 
 
-#: (d, sigma0, scheme) cells whose m1 is checked against a fresh process;
-#: more than the layout memo holds, so building them all evicts the first
+#: (d, sigma0, scheme) cells whose m1 is checked against a fresh process
 FRESH_CELLS = [(d, sigma0, TOTAL.value)
                for d in (1.0, 2.0)
                for sigma0 in (1e-5, 3e-6, 1e-6, 3e-7, 1e-7, 1e-8)]
@@ -295,21 +294,21 @@ def fresh_m1():
     return dict(zip(cells, out.stdout.split()))
 
 
-def test_evicted_layouts_still_reuse_the_norm_pass(monkeypatch, fresh_m1):
-    # the kept first level is found again by value once the memo has
-    # rebuilt its nodes as a new array
-    quadrature._first_levels.cache_clear()
-    dists = [pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0), ArrivalScheme(s))
-             for d, sigma0, s in FRESH_CELLS]
-    misses = quadrature._first_levels.cache_info().misses
+def test_cells_built_and_measured_interleaved_give_fresh_process_m1(
+        monkeypatch, fresh_m1):
+    # each cell is measured as it is built, then all again in another
+    # order: every m1 pass reads its own distribution's kept first level
+    dists, got = [], []
+    for d, sigma0, s in FRESH_CELLS:
+        dists.append(pi_of_phi(PhysicsConfig(d=d, sigma0=sigma0),
+                               ArrivalScheme(s)))
+        got.append(repr(first_moment(dists[-1])))
+    assert got == [fresh_m1[cell] for cell in FRESH_CELLS]
     kernel_calls = count_kernel_calls(monkeypatch)
     cos_calls = count_cos_calls(monkeypatch)
-    got = [repr(first_moment(dist)) for dist in dists]
-    assert quadrature._first_levels.cache_info().misses > misses
-    assert got == [fresh_m1[cell] for cell in FRESH_CELLS]
-    # and again once every layout has been dropped
-    quadrature._first_levels.cache_clear()
-    assert [repr(first_moment(dist)) for dist in dists] == got
+    walk = [*range(0, len(dists), 2), *range(len(dists) - 1, 0, -2)]
+    assert [repr(first_moment(dists[i])) for i in walk] \
+        == [got[i] for i in walk]
     assert kernel_calls == [] and cos_calls == []
 
 
@@ -344,9 +343,8 @@ def count_cos_calls(monkeypatch):
 
 
 def first_level_nodes(dist):
-    """The nodes of the first integrand call of every pass over ``dist``."""
-    return quadrature._first_levels(0.0, TWO_PI, dist.split_hints,
-                                    dist.quad.panel_order)[-1]
+    """The nodes of the first level of every pass over ``dist``."""
+    return dist._first_level[0][-1]
 
 
 @pytest.mark.parametrize("d", [1.0, 2.0])
@@ -359,29 +357,27 @@ def test_later_m1_passes_reuse_the_first_level_rows(monkeypatch, d, sigma0):
     assert cos_calls == [first_level_nodes(dist).size]
     cos_calls.clear()
     # every preset m1 pass is accepted at that level, so no pass computes
-    # cos again
+    # cos again; the mean and variance passes compute none
     first = measure(dist, cfg.phi_peak)
     assert measure(dist, cfg.phi_peak) == first
     measure(dist, 0.5)
     density_matrix(dist)
     mean_phi(dist)
+    variance_phi(dist)
     assert cos_calls == []
 
 
 def test_kept_rows_are_read_only():
     dist = pi_of_phi(SET_I, TOTAL)
+    layout, rows = dist._first_level
     nodes = first_level_nodes(dist)
-    kept_nodes, rows = dist._first_level
-    assert np.array_equal(kept_nodes, nodes)
     assert rows.shape == (3, nodes.size)
-    # the rows are those of the moment integrand; density_fn returns
-    # row 0, also for equal nodes in a new array
+    # the rows are those of the moment integrand, and row 0 is what
+    # density_fn gives at the nodes
     assert np.array_equal(rows[1], np.cos(nodes) * rows[0])
     assert np.array_equal(rows[2], np.sin(nodes) * rows[0])
-    density = dist.density_fn(nodes.copy())
-    assert np.array_equal(density, rows[0])
-    assert np.shares_memory(density, rows)
-    for kept in (rows, density):
+    assert np.array_equal(dist.density_fn(nodes), rows[0])
+    for kept in (*layout, rows):
         assert not kept.flags.writeable
         with pytest.raises(ValueError):
             kept[..., 0] = 0.0

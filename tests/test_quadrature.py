@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qclock import (ArrivalScheme, PhysicsConfig, QuadratureSpec, integrate,
-                    integrate_full, pi_of_phi, quadrature)
-from qclock.cli import RunConfig, run_curve, run_table, serialize
+from qclock import (ArrivalScheme, PhysicsConfig, QuadratureSpec, distribution,
+                    integrate, integrate_full, pi_of_phi, quadrature)
+from qclock.cli import RunConfig, serialize
 from qclock.errors import ConvergenceError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -332,66 +332,71 @@ def test_hints_that_are_not_numbers_rejected(hints):
         integrate(np.exp, 0.0, 1.0, split_hints=hints)
 
 
-@pytest.fixture
-def fresh_memo():
-    quadrature._first_levels.cache_clear()
-    return quadrature._first_levels
-
-
-def misses_hits(memo):
-    info = memo.cache_info()
-    return info.misses, info.hits
-
-
-def test_memo_keys_of_table_cells(fresh_memo, tmp_path):
-    # one cell: the hinted interval misses, the 3 angles hit; the current
-    # ends within one turn, so no tail pass runs
-    run_table(RunConfig(sigma0_ladder=(1e-7,), output_dir=tmp_path))
-    assert misses_hits(fresh_memo) == (1, 3)
-    # a second cell has new hints
-    run_table(RunConfig(sigma0_ladder=(1e-6,), output_dir=tmp_path))
-    assert misses_hits(fresh_memo) == (2, 6)
-
-
-def test_memo_keys_of_a_curve_cell(fresh_memo, tmp_path):
-    # the hinted interval and the order+2 norm check miss; the mean and
-    # variance passes reuse the hinted interval; the current ends within
-    # one turn, so no tail pass runs
-    run_curve(RunConfig(sigma0_ladder=(1e-7,), output_dir=tmp_path))
-    assert misses_hits(fresh_memo) == (2, 2)
-
-
-def test_memo_is_small():
-    assert quadrature._first_levels.cache_info().maxsize <= 8
-
-
-def test_no_memo_array_escapes(fresh_memo):
-    dist = pi_of_phi(PhysicsConfig(sigma0=1e-7),
-                     ArrivalScheme.MODULUS_TOTAL_CURRENT)
+def test_no_layout_array_escapes():
+    # the first level that a distribution keeps, alone or as a ladder's
+    # cell, is read-only, and no array a caller receives shares its memory
+    total = ArrivalScheme.MODULUS_TOTAL_CURRENT
+    cells = [(PhysicsConfig(sigma0=sigma0), total) for sigma0 in (1e-6, 1e-7)]
+    dists = [pi_of_phi(*cells[1]),
+             *distribution._distributions(cells, QuadratureSpec())]
     res = integrate_full(np.exp, 0.0, 1.0, keep_nodes=True)
-    entries = [fresh_memo(0.0, TWO_PI, dist.split_hints, dist.quad.panel_order),
-               fresh_memo(0.0, 1.0, (), QuadratureSpec().panel_order)]
-    assert misses_hits(fresh_memo)[1] == 2  # both were built by the passes
-    for entry in entries:
+    assert res.nodes.flags.writeable
+    for dist in dists:
+        layout, rows = dist._first_level
         # lefts, rights, child_lefts, child_rights, half-widths, nodes
-        assert len(entry) == 6
-        for arr in entry:
+        assert len(layout) == 6
+        for arr in (*layout, rows):
             assert not arr.flags.writeable
             for mine in (dist.nodes, res.nodes):
                 assert not np.shares_memory(mine, arr)
-    assert dist.nodes.flags.writeable and res.nodes.flags.writeable
-    with pytest.raises(ValueError):
-        entries[0][5][0] = 1.0
+        assert dist.nodes.flags.writeable
+        with pytest.raises(ValueError):
+            layout[5][0] = 1.0
+
+
+def spike_rows(x):
+    w = narrow_gaussian(SPIKE_WIDTH, SPIKE_CENTER)(x)
+    return np.stack((w, w * np.cos(x), w * np.sin(x)))
+
+
+@pytest.mark.parametrize("f, hints", [
+    (lambda x: np.exp(np.sin(3.0 * x)), ()),
+    (spike_rows, tuple(SPIKE_HINTS))])
+def test_given_first_level_values_give_the_bits_of_calling_f(f, hints):
+    # the first call takes the given values and f is called only from
+    # the second bisection on, for the result f alone gives
+    def calls_of(f, sizes):
+        def counted(x):
+            sizes.append(x.size)
+            return f(x)
+        return counted
+
+    spec, span = QuadratureSpec(), (0.0, TWO_PI, hints)
+    alone, again = [], []
+    outcomes, (layout,), (first,) = quadrature._integrate_batch(
+        calls_of(f, alone), [span], spec)
+    want = outcomes[0]
+    outcomes, _layouts, _firsts = quadrature._integrate_batch(
+        calls_of(f, again), [span], spec, first=(layout, first))
+    got = outcomes[0]
+    assert len(alone) > 1 and again == alone[1:]
+    assert (bits_of(got.value), got.error.hex(), got.n_evals, got.n_panels) \
+        == (bits_of(want.value), want.error.hex(), want.n_evals,
+            want.n_panels)
+
+
+def bits_of(value):
+    return np.asarray(value, dtype=np.float64).view(np.uint64).tolist()
 
 
 # each case differs from the first in one part of the key: the hints, the
 # order, the interval's end or its start
-MEMO_HINTS = tuple(SPIKE_HINTS)
-MEMO_CASES = [(0.0, TWO_PI, MEMO_HINTS, 16),
-              (0.0, TWO_PI, tuple(h + 0.5 * SPIKE_WIDTH for h in MEMO_HINTS), 16),
-              (0.0, TWO_PI, MEMO_HINTS, 18),
-              (0.0, 1.2, MEMO_HINTS, 16),
-              (0.3, TWO_PI, MEMO_HINTS, 16)]
+KEY_HINTS = tuple(SPIKE_HINTS)
+KEY_CASES = [(0.0, TWO_PI, KEY_HINTS, 16),
+              (0.0, TWO_PI, tuple(h + 0.5 * SPIKE_WIDTH for h in KEY_HINTS), 16),
+              (0.0, TWO_PI, KEY_HINTS, 18),
+              (0.0, 1.2, KEY_HINTS, 16),
+              (0.3, TWO_PI, KEY_HINTS, 16)]
 
 _FRESH_SCRIPT = """
 import sys
@@ -407,7 +412,7 @@ print(repr(res.value.tolist()), repr(res.error), res.n_evals, res.nodes.size)
 """
 
 
-def memo_case_result(a, b, hints, order):
+def key_case_result(a, b, hints, order):
     def f(x):
         w = np.exp(-(x - 0.61) ** 2 / (2.0 * 1e-4 ** 2)) + 1e-3 * np.sin(7.0 * x)
         return np.stack((np.abs(w), w * np.cos(x), w * np.sin(x)))
@@ -418,24 +423,23 @@ def memo_case_result(a, b, hints, order):
 
 def test_interleaved_memo_keys_give_fresh_process_values():
     """Each case alone in a fresh interpreter gives the same bits as all
-    cases interleaved in this one, where the memo holds, shares and (with
-    two rounds of filler keys) evicts their layouts."""
+    cases interleaved in this one, with integrals over other intervals
+    between the rounds."""
     env = dict(os.environ)
     src = str(Path(quadrature.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     fresh = []
-    for a, b, hints, order in MEMO_CASES:
+    for a, b, hints, order in KEY_CASES:
         args = [repr(v) for v in (a, b, order, *hints)]
         out = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT, *args],
                              env=env, capture_output=True, text=True,
                              check=True)
         fresh.append(out.stdout.strip())
 
-    quadrature._first_levels.cache_clear()
     for round_ in range(2):
         for i in (0, 3, 1, 4, 2, 0, 2, 4, 3, 1):
-            assert memo_case_result(*MEMO_CASES[i]) == fresh[i]
-        for k in range(8):  # evict every case
+            assert key_case_result(*KEY_CASES[i]) == fresh[i]
+        for k in range(8):
             integrate(np.exp, 0.0, 1.0 + k)
 
 
@@ -524,10 +528,9 @@ def test_panel_sums_are_the_ordered_sum_for_every_panel_count():
         acc = acc + w[j] * values[:, j]
     expected = halves * acc
     for panels in range(2, 2050):
-        flat = np.zeros(order * panels)
         for k in (1, 3):
             v = values[:k, :, :panels]
             raw = v.reshape(k, -1) if k > 1 else v.reshape(-1)
-            got, _rows = quadrature._panel_values(
-                lambda _x: raw, order, halves[:panels], flat)
+            got, _rows = quadrature._panel_values(raw, order,
+                                                  halves[:panels])
             assert np.array_equal(got, expected[:k, :panels]), (panels, k)
