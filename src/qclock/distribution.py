@@ -28,7 +28,7 @@ from .errors import (AmbiguousPeakError, DegenerateDistributionError,
                      QClockError, UnsupportedSchemeError, ValidationError,
                      check_type)
 from .quadrature import (QuadratureResult, QuadratureSpec, _integrate_batch,
-                         _result, checked_spec, hint_tuple, integrate)
+                         checked_spec, hint_tuple, integrate)
 from .wavepacket import PhysicsConfig, width
 
 TWO_PI = 2.0 * math.pi
@@ -175,10 +175,10 @@ class AngularDistribution:
             # fn may hand back a buffer that its next call reuses
             return values.copy()
 
-        outcomes, (layout,), (first,) = _integrate_batch(
+        (total,), (layout,), (first,) = _integrate_batch(
             nonnegative, [(0.0, TWO_PI, hints)], quad, keep_nodes=True)
         norm, nodes, first_level, density_fn = _normalized(
-            fn, _result(outcomes), layout, first)
+            fn, total, layout, first)
         return cls(density_fn=density_fn, norm_constant=norm, nodes=nodes,
                    quad=quad, split_hints=hints, truncated_tail_mass=0.0,
                    meta=dict(meta) if meta else {}, _first_level=first_level)
@@ -355,48 +355,50 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     check_type("cfg", cfg, PhysicsConfig)
     scheme_weight(cfg, scheme)
     quad = checked_spec(quad, "quad")
-    return _next_distribution(cfg, scheme, quad,
-                              _ladder_parts([(cfg, scheme)], quad), 3)
+    (part,) = _ladder_parts([(cfg, scheme)], quad)
+    return _cell_distribution(cfg, scheme, quad, part, 3)
 
 
 def _distributions(cells, quad: QuadratureSpec, stacklevel: int = 2):
-    """The distribution of each (cfg, scheme) of ``cells``, in order, as
-    ``pi_of_phi`` builds it alone, from one batch of normalization passes
-    and one batch of tail passes (``_ladder_parts``).
+    """The distribution of each (cfg, scheme) of ``cells`` (one or more),
+    in order, as ``pi_of_phi`` builds it alone, from one batch of
+    normalization passes and one of tail passes (``_ladder_parts``).
 
     The configs may differ in sigma0 only, as a ladder's cells do; each
     level of a batch is then one kernel call, which evaluates every
     cell's points at the cell's own sigma0 (``_ladder_weight``).  Every
     distribution has the bits that ``pi_of_phi`` gives its cell.
 
-    A generator.  Both batches run before the first cell is yielded, but
-    a cell's error (its refusal, or its pass's error) is raised, and its
-    tail warning emitted with ``stacklevel`` counted from here, only when
-    the walk reaches the cell.  So a ladder emits the same warnings and
-    raises the same first error, in the same order, as a loop that calls
-    ``pi_of_phi`` per cell and uses each cell before the next.  Each
-    distribution keeps its own first-level layout, so the passes over a
-    cell that follow build none, however many cells the ladder has.
+    A generator.  Both batches run before the first cell is yielded; a
+    cell's tail warning is emitted, with ``stacklevel`` counted from
+    here, when the walk reaches it.  When a batch of several cells raises
+    a ``QClockError`` (a refusal or a pass's error), each cell is built
+    alone instead, as ``pi_of_phi`` builds it, when the walk reaches it;
+    a batch of one is not built twice.  So a ladder emits the same
+    warnings and raises the same first error, in the same order, as a
+    loop that calls ``pi_of_phi`` per cell and uses each cell before the
+    next.  Each distribution keeps its own first-level layout, so the
+    passes over a cell that follow build none, however many cells the
+    ladder has.
     """
     cells = list(cells)
-    parts = _ladder_parts(cells, quad)[::-1]
-    for cfg, scheme in cells:
-        yield _next_distribution(cfg, scheme, quad, parts, stacklevel + 1)
+    try:
+        parts = _ladder_parts(cells, quad)
+    except QClockError:
+        if len(cells) == 1:
+            raise
+        parts = None  # built below, so no cell error chains the batch's
+    for i, (cfg, scheme) in enumerate(cells):
+        part = parts[i] if parts else _ladder_parts([(cfg, scheme)], quad)[0]
+        yield _cell_distribution(cfg, scheme, quad, part, stacklevel + 1)
 
 
-def _next_distribution(cfg: PhysicsConfig, scheme: ArrivalScheme,
-                       quad: QuadratureSpec, parts: list, stacklevel: int):
-    """The distribution of the cell (cfg, scheme) from its part, the last
-    of ``parts`` (``_ladder_parts``), which is popped; its tail warning
-    is emitted with ``stacklevel`` counted from here.
-
-    A cell's error is popped as it is raised, so that no frame that its
-    traceback holds refers to it: that would be a reference cycle, which
-    only the cyclic garbage collector frees."""
-    if isinstance(parts[-1], QClockError):
-        raise parts.pop()
-    support, hints, (norm, nodes, first_level, density_fn), tail = \
-        parts.pop()
+def _cell_distribution(cfg: PhysicsConfig, scheme: ArrivalScheme,
+                       quad: QuadratureSpec, part: list, stacklevel: int):
+    """The distribution of the cell (cfg, scheme) from its ``part`` of
+    ``_ladder_parts``; its tail warning is emitted with ``stacklevel``
+    counted from here."""
+    support, hints, (norm, nodes, first_level, density_fn), tail = part
     tail_frac = tail / (norm + tail)
     if tail_frac > _TAIL_WARN_LEVEL:
         warnings.warn(
@@ -418,11 +420,11 @@ def _next_distribution(cfg: PhysicsConfig, scheme: ArrivalScheme,
 
 
 def _ladder_parts(cells, quad: QuadratureSpec) -> list:
-    """Per cell of ``cells``, [support, hints, (norm, nodes, first_level,
-    density_fn), tail mass] (``_next_distribution``), or the error that
-    ends the cell, kept without a traceback."""
-    parts: list = []
-    live, weights, spans = [], [], []  # of the cells with first-turn mass
+    """Per cell of ``cells``, one or more, [support, hints, (norm, nodes,
+    first_level, density_fn), tail mass] (``_cell_distribution``); the
+    first error of any cell (its refusal, a pass's error or
+    ``_normalized``'s) is raised."""
+    parts, weights, spans = [], [], []
     for cfg, scheme in cells:
         two_omega = 2.0 * cfg.omega
         t_lo, t_hi = exit_current_support(cfg)
@@ -430,45 +432,27 @@ def _ladder_parts(cells, quad: QuadratureSpec) -> list:
         if support[0] >= TWO_PI:
             # the whole first turn lies below the support: +0.0 integrates
             # to 0.0
-            parts.append(DegenerateDistributionError(
-                _nothing_to_normalize(0.0)))
-            continue
+            raise DegenerateDistributionError(_nothing_to_normalize(0.0))
         spike_width = two_omega * width(cfg, cfg.transit_time).sigma_t / cfg.u
         hints = bracketing_hints(cfg.phi_peak, spike_width)
-        live.append(len(parts))
         weights.append(scheme_weight(cfg, scheme))
         spans.append((0.0, TWO_PI, hints))
         parts.append([support, hints, None, 0.0])
-    if not live:
-        return parts
-
-    past, past_weights = [], []  # the cells whose support reaches past 2*pi
-    outcomes, layouts, firsts = _integrate_batch(
-        _ladder_weight([cells[i] for i in live], weights), spans, quad,
-        keep_nodes=True)
-    for i, weight, outcome, layout, first in zip(live, weights, outcomes,
-                                                 layouts, firsts):
-        if not isinstance(outcome, QuadratureResult):
-            parts[i] = outcome
-            continue
-        try:
-            parts[i][2] = _normalized(weight, outcome, layout, first)
-        except QClockError as exc:
-            parts[i] = exc.with_traceback(None)
-            continue
-        if parts[i][0][1] > TWO_PI:
-            past.append(i)
-            past_weights.append(weight)
-    # beyond the support the weight is +0.0, whose integral is 0.0
+    results, layouts, firsts = _integrate_batch(
+        _ladder_weight(cells, weights), spans, quad, keep_nodes=True)
+    for part, weight, total, layout, first in zip(parts, weights, results,
+                                                  layouts, firsts):
+        part[2] = _normalized(weight, total, layout, first)
+    # the cells whose support reaches past 2*pi; beyond it the weight is
+    # +0.0, whose integral is 0.0
+    past = [i for i, part in enumerate(parts) if part[0][1] > TWO_PI]
     if past:
-        outcomes, _layouts, _firsts = _integrate_batch(
-            _ladder_weight([cells[i] for i in past], past_weights),
+        tails, _layouts, _firsts = _integrate_batch(
+            _ladder_weight([cells[i] for i in past],
+                           [weights[i] for i in past]),
             [(TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, ())] * len(past), quad)
-        for i, outcome in zip(past, outcomes):
-            if isinstance(outcome, QuadratureResult):
-                parts[i][3] = outcome.value
-            else:
-                parts[i] = outcome
+        for i, tail in zip(past, tails):
+            parts[i][3] = tail.value
     return parts
 
 
@@ -686,10 +670,10 @@ def _integral(dist: AngularDistribution, f, first_values):
     first-level layout, where ``first_values`` are f's values (from the
     kept rows): f is called only at deeper levels."""
     layout = dist._first_level[0]
-    outcomes, _layouts, _firsts = _integrate_batch(
+    (result,), _layouts, _firsts = _integrate_batch(
         f, [(0.0, TWO_PI, dist.split_hints)], dist.quad,
         first=(layout, first_values))
-    return _result(outcomes).value
+    return result.value
 
 
 def write_distribution_csv(dist: AngularDistribution, path) -> None:

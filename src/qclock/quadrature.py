@@ -35,9 +35,10 @@ Several independent integrals can run in lockstep (``_integrate_batch``;
 ``integrate_full`` is the batch of one): each level lays every live panel
 of every integral out in one node-major call, and each integral keeps its
 own panels, acceptance, negligible share and ordered sum, so its result
-has the bits it has alone.  One failing integral ends only its own pass.
-A sigma0 ladder's normalization passes run this way, one kernel call per
-level for all its cells.
+has the bits it has alone.  A batch succeeds whole or not at all: the
+first error that ends any integral's pass ends the batch.  A sigma0
+ladder's normalization passes run this way, one kernel call per level
+for all its cells.
 
 The node array a call passes to the integrand is node-major: viewed as
 (order, panels), row j holds node j of every panel.  The first two levels'
@@ -249,21 +250,11 @@ def hint_tuple(split_hints: Iterable[float]) -> tuple:
             f"split_hints must be an iterable of real numbers: {exc}") from None
 
 
-class _NonFinite(Exception):
-    """``_panel_values`` found values that are not finite: ``estimates``
-    counts them as 0, ``raw`` holds them, and ``bad`` marks the points
-    where some row is not finite."""
-
-    def __init__(self, estimates, raw, bad):
-        super().__init__("integrand returned a non-finite value")
-        self.estimates, self.raw, self.bad = estimates, raw, bad
-
-
-def _panel_values(values, order, half):
+def _panel_values(values, order, half, flat):
     """Gauss-Legendre estimates, shape (k, panels), of every panel of one
-    call that gave ``values`` at its node-major nodes, and those values
-    as float64, shape (n,) or (k, n); ``_NonFinite`` when a value is not
-    finite.
+    call that gave ``values`` at its node-major nodes ``flat``, and those
+    values as float64, shape (n,) or (k, n).  A value that is not finite
+    raises ``ValidationError``, naming the first node where one is.
 
     Each estimate is ``half * sum_j w_j*f(x_j)``, summed in ascending j
     elementwise across panels (see the module docstring).  A value that
@@ -293,8 +284,8 @@ def _panel_values(values, order, half):
     finite = np.isfinite(raw)
     if _all(finite, axis=None):  # finite values whose sums overflowed
         return estimates, raw
-    raise _NonFinite(_estimates(np.where(finite, raw, 0.0), order, half),
-                     raw, ~finite.reshape(-1, n).all(axis=0))
+    x = float(flat[~finite.reshape(-1, n).all(axis=0)][0])
+    raise ValidationError(f"integrand returned a non-finite value near x={x!r}")
 
 
 def _estimates(values, order, half):
@@ -334,19 +325,9 @@ def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     spec = checked_spec(spec)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValidationError("need finite bounds with a < b")
-    return _result(_integrate_batch(
+    return _integrate_batch(
         f, [(float(a), float(b), hint_tuple(split_hints))], spec,
-        keep_nodes)[0])
-
-
-def _result(outcomes: list) -> QuadratureResult:
-    """The result of a batch of one, popped from its ``outcomes``, or its
-    error raised.  The error is popped as it is raised, so that no frame
-    that its traceback holds refers to it: that would be a reference
-    cycle, which only the cyclic garbage collector frees."""
-    if isinstance(outcomes[-1], QuadratureResult):
-        return outcomes.pop()
-    raise outcomes.pop()
+        keep_nodes)[0][0]
 
 
 class _Pass:
@@ -403,17 +384,16 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
     f is called only from the second bisection on; as f is elementwise,
     the result is the one f would give.
 
-    Returns the lists (outcomes, layouts, firsts), one entry per span.
-    An integral's outcome is its ``QuadratureResult``, or the
-    ``ConvergenceError`` or the ``ValidationError`` (for a value that is
-    not finite) that ended its pass while the others ran on; its layout
-    is the six read-only arrays of its first call (its hint panels' edges,
-    their children's, and the half-widths and nodes of the call over
-    both); and its first is the values f gave at that layout's nodes in
-    the first call: f's own array for one span, and for several a view of
-    its part of the call, shaped (order, panels) after any leading row
-    axis.  An exception that f raises, or a malformed value, ends every
-    integral.
+    Returns the lists (results, layouts, firsts), one entry per span:
+    its ``QuadratureResult``; its layout, the six read-only arrays of its
+    first call (its hint panels' edges, their children's, and the
+    half-widths and nodes of the call over both); and the values f gave
+    at that layout's nodes in the first call: f's own array for one span,
+    and for several a view of its part of the call, shaped (order,
+    panels) after any leading row axis.  The first error that ends any
+    integral's pass ends the batch: a ``ConvergenceError``
+    (``_unconverged``), a ``ValidationError`` for a value that is
+    malformed or not finite (``_panel_values``), or f's own exception.
     """
     order, rel_tol = spec.panel_order, spec.rel_tol
     if first is None:
@@ -428,7 +408,7 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
     else:
         def call(x):  # f, told the owners of the current level's panels
             return f(x, owner)
-    outcomes: list = [None] * len(spans)
+    results: list = [None] * len(spans)
     for depth in range(1, spec.max_depth + 1):
         # a call holds 3 columns per live parent at depth 1 (the parent
         # and its children), and 2 (its children) later
@@ -441,13 +421,9 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
         if call is not f:
             owner = np.repeat([acc.index for acc in live],
                               [width * acc.size for acc in live])
-        try:
-            child_vals, raw = _panel_values(
-                call(flat) if depth > 1 or given is None else given, order,
-                half)
-            bad = None
-        except _NonFinite as exc:
-            child_vals, raw, bad = exc.estimates, exc.raw, exc.bad
+        child_vals, raw = _panel_values(
+            call(flat) if depth > 1 or given is None else given, order,
+            half, flat)
         if depth == 1:
             rows = raw.ndim == 2
             child_vals, parent_vals, firsts = _split_first_level(
@@ -455,8 +431,6 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
         # the columns bounds[k]:bounds[k + 1] are the k-th live integral's
         bounds = ([0, lefts.size] if len(live) == 1
                   else [0, *accumulate(acc.size for acc in live)])
-        if bad is not None:
-            _fail_non_finite(bad, flat, order, live, width, bounds, outcomes)
 
         refined = child_vals[:, 0::2] + child_vals[:, 1::2]
         abs_refined = np.abs(refined[0])
@@ -475,9 +449,6 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
         going = []
         for k, acc in enumerate(live):
             s, e = bounds[k], bounds[k + 1]
-            if outcomes[acc.index] is not None:  # a value that is not finite
-                ok[s:e] = True  # refine none
-                continue
             if keep_nodes:  # the children of this integral's panels
                 child_pts = (
                     layouts[acc.index][5].reshape(order, -1)[:, acc.size:]
@@ -485,7 +456,7 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
             if whole[k]:
                 acc.accept(lefts[s:e], refined[:, s:e], err[s:e],
                            child_pts if keep_nodes else None)
-                outcomes[acc.index] = acc.result(rows, keep_nodes)
+                results[acc.index] = acc.result(rows, keep_nodes)
                 continue
             accepted = ok[s:e]
             if np.count_nonzero(accepted):
@@ -495,11 +466,9 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
                            else None, abs_refined[s:e][accepted])
             acc.size = 2 * (e - s - np.count_nonzero(accepted))
             if depth == spec.max_depth or acc.size > MAX_LIVE_PANELS:
-                outcomes[acc.index] = _unconverged(
+                raise _unconverged(
                     acc, ~accepted, child_lefts[2 * s:2 * e],
                     child_vals[:, 2 * s:2 * e], err[s:e], rows, depth, spec)
-                ok[s:e] = True  # refine none
-                continue
             going.append(acc)
         if not going:
             break
@@ -508,7 +477,7 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
         rights = child_rights[pair_refine]
         parent_vals = child_vals[:, pair_refine]
         live = going
-    return outcomes, layouts, firsts
+    return results, layouts, firsts
 
 
 def _unconverged(acc, unaccepted, child_lefts, child_vals, err, rows, depth,
@@ -566,19 +535,6 @@ def _accept_negligible(ok, abs_refined, parent_mass, live, bounds,
                 / max(e - s, 1)
             ok[s:e] |= np.maximum(abs_refined[s:e],
                                   np.abs(parent_mass[s:e])) <= share
-
-
-def _fail_non_finite(bad, flat, order, live, width, bounds, outcomes) -> None:
-    """Give each live integral with a point in ``bad`` the
-    ``ValidationError`` that names its first such node of the call
-    ``flat``; ``width`` columns per parent of ``bounds`` are its panels."""
-    bad, nodes = bad.reshape(order, -1), flat.reshape(order, -1)
-    for acc, s, e in zip(live, bounds, bounds[1:]):
-        mine = bad[:, width * s:width * e]
-        if np.count_nonzero(mine):
-            x = float(nodes[:, width * s:width * e][mine][0])
-            outcomes[acc.index] = ValidationError(
-                f"integrand returned a non-finite value near x={x!r}")
 
 
 def _ordered_sum(pos_chunks, val_chunks, rows):

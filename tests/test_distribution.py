@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import warnings
@@ -12,7 +13,7 @@ from qclock import (AngularDistribution, ArrivalScheme, PhysicsConfig,
                     integrate_full, mean_phi,
                     measure, peak_phi, pi_of_phi, variance_phi,
                     write_distribution_csv)
-from qclock import distribution, quadrature
+from qclock import distribution
 from qclock.cli import DEFAULT_SIGMA0_LADDER, PRESETS, RunConfig, run_table
 from qclock.current import exit_current_support
 from qclock.distribution import TWO_PI, scheme_weight
@@ -862,33 +863,99 @@ def test_a_ladder_makes_one_kernel_call_per_level(monkeypatch):
     assert calls[0] == first and len(calls) == 1 + 2
 
 
-def test_a_batch_fails_each_integral_as_it_fails_alone():
-    # at a depth too small for some cells, each integral ends with the
-    # ConvergenceError, best estimate included, that its own pass raises,
-    # and the others converge as they do alone
+def test_a_failing_ladder_gives_the_cells_before_it_then_its_error():
+    # at a depth too small for most cells the batch fails; the walk gives
+    # each cell before the first failing one as pi_of_phi builds it, then
+    # raises the ConvergenceError, best estimate included, of that cell
     spec = QuadratureSpec(rel_tol=1e-14, max_depth=3)
-    cells = ladder_cells(1.0, tuple(10.0 ** (-5.0 - k / 3) for k in range(10)),
-                         (TOTAL, SCH))
-    hints = [pi_of_phi(cfg, scheme).split_hints for cfg, scheme in cells]
-    outcomes, _layouts, _firsts = quadrature._integrate_batch(
-        distribution._ladder_weight(
-            cells, [scheme_weight(*cell) for cell in cells]),
-        [(0.0, TWO_PI, h) for h in hints], spec)
-    failed = 0
-    for (cfg, scheme), h, got in zip(cells, hints, outcomes, strict=True):
+    ladder = tuple(10.0 ** (-5.0 - k / 3) for k in range(10))
+    # both schemes' cells at sigma0 = 1e-8, which converge, come first
+    cells = [(PhysicsConfig(d=1.0, sigma0=sigma0), scheme)
+             for sigma0 in ladder[::-1] for scheme in (TOTAL, SCH)]
+    walk = distribution._distributions(cells, spec)
+    for built, (cfg, scheme) in enumerate(cells):
         try:
-            want = integrate_full(scheme_weight(cfg, scheme), 0.0, TWO_PI,
-                                  spec, h)
+            want = pi_of_phi(cfg, scheme, spec)
         except ConvergenceError as exc:
-            failed += 1
-            assert type(got) is ConvergenceError and str(got) == str(exc)
-            assert bits(got.best_estimate) == bits(exc.best_estimate)
-            assert bits(got.error_estimate) == bits(exc.error_estimate)
-        else:
-            assert (bits(got.value), bits(got.error), got.n_evals,
-                    got.n_panels) == (bits(want.value), bits(want.error),
-                                      want.n_evals, want.n_panels)
-    assert 0 < failed < len(cells)
+            failure = exc
+            break
+        got = next(walk)
+        for name in ("norm_constant", "nodes", "truncated_tail_mass",
+                     "support", "split_hints"):
+            assert np.array_equal(bits(getattr(got, name)),
+                                  bits(getattr(want, name))), name
+        (got_layout, got_rows), (want_layout, want_rows) = (
+            got._first_level, want._first_level)
+        for got_part, want_part in zip((*got_layout, got_rows),
+                                       (*want_layout, want_rows), strict=True):
+            assert np.array_equal(bits(got_part), bits(want_part))
+        assert got.meta == want.meta and got.quad == want.quad
+    assert built == 2
+    with pytest.raises(ConvergenceError) as got:
+        next(walk)
+    assert str(got.value) == str(failure)
+    assert bits(got.value.best_estimate) == bits(failure.best_estimate)
+    assert bits(got.value.error_estimate) == bits(failure.error_estimate)
+    assert got.value.__context__ is None  # the batch's error is not chained
+
+
+def test_a_failing_one_cell_build_runs_once(monkeypatch):
+    # a batch of one that fails is not rebuilt: the walk makes the kernel
+    # calls that pi_of_phi makes
+    calls = []
+
+    def counting_kernel(cfg, t, sigma0=None):
+        calls.append(np.asarray(t).size)
+        return exit_current_grid(cfg, t, sigma0)
+
+    monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
+    cell = (PhysicsConfig(sigma0=1e-8), TOTAL)
+    spec = QuadratureSpec(rel_tol=1e-14, max_depth=2)
+    with pytest.raises(ConvergenceError):
+        pi_of_phi(*cell, spec)
+    alone, calls[:] = calls[:], []
+    with pytest.raises(ConvergenceError):
+        list(distribution._distributions([cell], spec))
+    assert calls == alone and len(alone) == 2
+
+
+def nan_at_1e7(cfg, t, sigma0=None):
+    """The kernel, with NaN for jx at the points of sigma0 = 1e-7."""
+    jx, jz = exit_current_grid(cfg, t, sigma0)
+    widths = cfg.sigma0 if sigma0 is None else sigma0
+    return np.where(widths == 1e-7, np.nan, jx), jz
+
+
+def test_failing_builds_leave_no_cyclic_garbage(monkeypatch):
+    # an error that refers, through its traceback, to a frame that refers
+    # to it is freed only by the cyclic collector
+    deep = QuadratureSpec(rel_tol=1e-14, max_depth=3)
+    shallow = QuadratureSpec(rel_tol=1e-14, max_depth=2)
+    ladder = ladder_cells(1.0, DEFAULT_SIGMA0_LADDER[::-1], (TOTAL,))
+    builds = [
+        lambda: pi_of_phi(PhysicsConfig(d=1.0, B=300.0, sigma0=1e-7), TOTAL),
+        lambda: pi_of_phi(PhysicsConfig(sigma0=1e-8), TOTAL, shallow),
+        lambda: list(distribution._distributions(ladder, deep)),
+        lambda: list(distribution._distributions(
+            ladder_cells(1.0, DEFAULT_SIGMA0_LADDER, (TOTAL,)),
+            QuadratureSpec()))]
+    gc.collect()
+    gc.disable()
+    try:
+        for k, build in enumerate(builds):
+            if k == 3:
+                monkeypatch.setattr(distribution, "exit_current_grid",
+                                    nan_at_1e7)
+            for _ in range(20):
+                try:
+                    build()
+                except QClockError:
+                    pass
+                else:
+                    raise AssertionError(f"build {k} did not fail")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_pass_error_is_deferred_to_its_cell(monkeypatch):
