@@ -260,7 +260,7 @@ def _normalized(fn, total: QuadratureResult, layout, first_values):
     first_nodes = layout[-1]
     first_rows = _moment_rows(
         first_nodes, (first_values / norm).reshape(first_nodes.shape))
-    first_rows.flags.writeable = False
+    first_rows.setflags(write=False)
 
     def density_fn(phi, _fn=fn, _norm=norm):
         return np.asarray(_fn(np.asarray(phi, dtype=np.float64))) / _norm
@@ -641,9 +641,15 @@ def first_moment(dist: AngularDistribution) -> complex:
     ``AngularDistribution`` raises ``ValidationError``.
     """
     check_type("dist", dist, AngularDistribution)
+    return _first_moment(dist)
+
+
+def _first_moment(dist: AngularDistribution) -> complex:
+    """``first_moment`` of a ``dist`` known to be an
+    ``AngularDistribution``."""
     _mass, c, s = _integral(
         dist, lambda phi: _moment_rows(phi, dist.density_fn(phi)),
-        dist._first_level[1])
+        dist._first_level[1]).tolist()
     return complex(c, s)
 
 

@@ -21,19 +21,24 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distribution import (TWO_PI, AngularDistribution, ArrivalScheme,
-                           first_moment, pi_of_phi, write_text_atomic)
+                           _first_moment, first_moment, pi_of_phi,
+                           write_text_atomic)
 from .errors import DomainError, as_number, check_type
 from .quadrature import QuadratureSpec
 from .wavepacket import PhysicsConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurementResult:
     """Analyzer angle plus the two channel probabilities."""
 
     theta: float
     p_plus: float
     p_minus: float
+
+    def __init__(self, theta, p_plus, p_minus):
+        # one dict update, not the frozen default's setattr per field
+        self.__dict__.update(theta=theta, p_plus=p_plus, p_minus=p_minus)
 
 
 def _check_theta(theta: float) -> float:
@@ -53,7 +58,7 @@ def measure(dist: AngularDistribution, theta: float) -> MeasurementResult:
     ``ValidationError``."""
     check_type("dist", dist, AngularDistribution)
     theta = _check_theta(theta)
-    m1 = first_moment(dist)
+    m1 = _first_moment(dist)
     proj = m1.real * math.cos(theta) + m1.imag * math.sin(theta)
     return MeasurementResult(theta=theta, p_plus=0.5 * (1.0 + proj),
                              p_minus=0.5 * (1.0 - proj))

@@ -47,8 +47,9 @@ the call over both) depends only on (interval, hints, order).  A batch
 builds the layouts of all its integrals in one pass and returns each
 one's, with the integrand's values at its nodes; a later pass over the
 same integral can be given that layout and its own integrand's values
-there, and then calls the integrand only from the second bisection on.
-Every array in a layout is read-only, as is every node array an
+there, and then calls the integrand only from the second bisection on;
+it takes those values as they are, float64 of the integrand's shape,
+and checks only that their estimates are finite.  Every array in a layout is read-only, as is every node array an
 integrand receives.  Deeper levels build their layouts with the same
 function.
 
@@ -82,6 +83,11 @@ ABS_FLOOR = 1e-300
 #: The reductions of ``ndarray.sum``, ``ndarray.all`` and ``ndarray.max``,
 #: without their Python wrappers: the same results, bit for bit.
 _sum, _all, _max = np.add.reduce, np.logical_and.reduce, np.maximum.reduce
+
+try:  # ``np.count_nonzero`` of a whole array, without its Python wrapper
+    from numpy._core.multiarray import count_nonzero as _count
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero as _count
 
 #: The dtype of the values an integrand gives; numpy keeps one instance.
 _FLOAT64 = np.dtype(np.float64)
@@ -138,7 +144,7 @@ def checked_spec(spec, name: str = "spec") -> QuadratureSpec:
     return check_type(name, spec, QuadratureSpec)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class QuadratureResult:
     """Converged integral plus diagnostics.
 
@@ -155,11 +161,17 @@ class QuadratureResult:
     n_panels: int
     nodes: Optional[np.ndarray]
 
+    def __init__(self, value, error, n_evals, n_panels, nodes):
+        # one dict update, not the frozen default's setattr per field
+        self.__dict__.update(value=value, error=error, n_evals=n_evals,
+                             n_panels=n_panels, nodes=nodes)
+
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(order: int):
+    """The Gauss-Legendre nodes on [-1, 1], as a column, and weights."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return x[:, None], w
 
 
 def _bisect(lefts, rights):
@@ -188,10 +200,8 @@ def _layout(order, lefts, rights):
     receives."""
     x, _w = _gauss_legendre(order)
     half = 0.5 * (rights - lefts)
-    flat = np.empty(order * half.size)
-    np.add(0.5 * (rights + lefts), x[:, None] * half,
-           out=flat.reshape(order, half.size))
-    flat.flags.writeable = False  # what the integrand receives
+    flat = (x * half + 0.5 * (rights + lefts)).reshape(-1)
+    flat.setflags(write=False)  # what the integrand receives
     return half, flat
 
 
@@ -226,7 +236,7 @@ def _first_layouts(spans, order):
     half, flat = _layout(order, call_lefts, call_rights)
     joint = (lefts, rights, child_lefts, child_rights, half, flat)
     for arr in joint[:5]:
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     if len(spans) == 1:
         return joint, [joint]
     flat = flat.reshape(order, -1)
@@ -234,7 +244,7 @@ def _first_layouts(spans, order):
     for span, (p, q) in zip(spans, parts):
         if span not in own:
             nodes = flat[:, 3 * p:3 * q].ravel()
-            nodes.flags.writeable = False
+            nodes.setflags(write=False)
             own[span] = (lefts[p:q], rights[p:q], child_lefts[2 * p:2 * q],
                          child_rights[2 * p:2 * q], half[3 * p:3 * q], nodes)
     return joint, [own[span] for span in spans]
@@ -251,16 +261,9 @@ def hint_tuple(split_hints: Iterable[float]) -> tuple:
 
 
 def _panel_values(values, order, half, flat):
-    """Gauss-Legendre estimates, shape (k, panels), of every panel of one
-    call that gave ``values`` at its node-major nodes ``flat``, and those
-    values as float64, shape (n,) or (k, n).  A value that is not finite
-    raises ``ValidationError``, naming the first node where one is.
-
-    Each estimate is ``half * sum_j w_j*f(x_j)``, summed in ascending j
-    elementwise across panels (see the module docstring).  A value that
-    is not finite makes its panel's estimate not finite, so the values
-    are checked only when the estimates' sum is not finite.
-    """
+    """``_estimates`` of the values f gave in one call, and those values
+    as float64, shape (n,) or (k, n); ``ValidationError`` for values that
+    are not real numbers of such a shape."""
     n = order * half.size
     raw = np.asarray(values)
     if raw.dtype is not _FLOAT64:
@@ -277,22 +280,33 @@ def _panel_values(values, order, half, flat):
         raise ValidationError(
             f"integrand must return shape (n,) or (k, n) for n={n} "
             f"points; got {raw.shape}")
-    estimates = _estimates(raw, order, half)
-    # a sum is finite only where every term is
-    if math.isfinite(_sum(estimates, axis=None)):
-        return estimates, raw
-    finite = np.isfinite(raw)
-    if _all(finite, axis=None):  # finite values whose sums overflowed
-        return estimates, raw
-    x = float(flat[~finite.reshape(-1, n).all(axis=0)][0])
-    raise ValidationError(f"integrand returned a non-finite value near x={x!r}")
+    return _estimates(raw, order, half, flat), raw
 
 
-def _estimates(values, order, half):
+def _estimates(values, order, half, flat):
+    """Gauss-Legendre estimates, shape (k, panels), of every panel of one
+    call from float64 ``values``, shape (n,) or (k, n), at its node-major
+    nodes ``flat``.  A value that is not finite raises
+    ``ValidationError``, naming the first node where one is.
+
+    Each estimate is ``half * sum_j w_j*f(x_j)``, summed in ascending j
+    elementwise across panels (see the module docstring).  A value that
+    is not finite makes its panel's estimate not finite, so the values
+    are checked only when the estimates' sum is not finite.
+    """
     panels = half.size
     terms = np.multiply(values, _node_weights(order, panels))
     estimates = _sum(terms.reshape(-1, order, panels), axis=1)
-    return np.multiply(half, estimates, out=estimates)
+    np.multiply(half, estimates, out=estimates)
+    # a sum is finite only where every term is
+    if math.isfinite(_sum(estimates, axis=None)):
+        return estimates
+    finite = np.isfinite(values)
+    if _all(finite, axis=None):  # finite values whose sums overflowed
+        return estimates
+    bad = ~finite.reshape(-1, order * panels).all(axis=0)
+    x = float(flat[bad][0])
+    raise ValidationError(f"integrand returned a non-finite value near x={x!r}")
 
 
 def integrate_full(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -334,31 +348,32 @@ class _Pass:
     """One integral of a batch: its index in the batch, its live parent
     panels, its integrand evaluations so far, and its accepted panels
     (their left edges, refined estimates and, when kept, nodes) with
-    their summed error and absolute mass."""
+    their count, summed error and absolute mass."""
 
-    __slots__ = ("index", "size", "evals", "pos", "val", "nodes", "err",
-                 "abs")
+    __slots__ = ("index", "size", "evals", "panels", "pos", "val", "nodes",
+                 "err", "abs")
 
     def __init__(self, index, size, order):
         self.index, self.size, self.evals = index, size, 3 * order * size
         self.pos, self.val, self.nodes = [], [], []
-        self.err = self.abs = 0.0
+        self.panels, self.err, self.abs = 0, 0.0, 0.0
 
-    def accept(self, lefts, refined, err, nodes, abs_refined=None):
+    def accept(self, lefts, refined, nodes):
+        self.panels += lefts.size
         self.pos.append(lefts)
         self.val.append(refined)
-        self.err += float(_sum(err))
-        if abs_refined is not None:
-            self.abs += float(_sum(abs_refined))
         if nodes is not None:
-            self.nodes.append(nodes.ravel())
+            self.nodes.append(nodes)
 
-    def result(self, rows, keep_nodes):
+    def result(self, lefts, refined, nodes, rows):
+        """The pass's ``QuadratureResult`` once its live panels, with
+        left edges ``lefts``, estimates ``refined`` and, when kept,
+        ``nodes``, are accepted too."""
+        if nodes is not None:
+            nodes = np.sort(np.concatenate([*self.nodes, nodes], axis=None))
         return QuadratureResult(
-            value=_ordered_sum(self.pos, self.val, rows), error=self.err,
-            n_evals=self.evals, n_panels=sum(map(len, self.pos)),
-            nodes=(np.sort(np.concatenate(self.nodes)) if keep_nodes
-                   else None))
+            _ordered_sum(self.pos + [lefts], self.val + [refined], rows),
+            self.err, self.evals, self.panels + lefts.size, nodes)
 
 
 def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
@@ -380,9 +395,10 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
 
     ``first``, for one span, is (layout, values): the span's layout as
     this function returned it for an earlier pass at the same order, and
-    f's values at its nodes.  The first call then takes those values and
-    f is called only from the second bisection on; as f is elementwise,
-    the result is the one f would give.
+    f's values at its nodes, float64 of the shape f gives.  The first
+    call then takes those values as they are and f is called only from
+    the second bisection on; as f is elementwise, the result is the one
+    f would give.
 
     Returns the lists (results, layouts, firsts), one entry per span:
     its ``QuadratureResult``; its layout, the six read-only arrays of its
@@ -393,45 +409,35 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
     panels) after any leading row axis.  The first error that ends any
     integral's pass ends the batch: a ``ConvergenceError``
     (``_unconverged``), a ``ValidationError`` for a value that is
-    malformed or not finite (``_panel_values``), or f's own exception.
+    malformed (``_panel_values``) or not finite (``_estimates``), or f's
+    own exception.
     """
-    order, rel_tol = spec.panel_order, spec.rel_tol
+    order, rel_tol, max_depth = spec.panel_order, spec.rel_tol, spec.max_depth
     if first is None:
-        (joint, layouts), given = _first_layouts(spans, order), None
+        (joint, layouts), raw = _first_layouts(spans, order), None
     else:
-        (joint, given), layouts = first, [first[0]]
+        (joint, raw), layouts = first, [first[0]]
     lefts, rights, child_lefts, child_rights, half, flat = joint
     live = [_Pass(i, layout[0].size, order)
             for i, layout in enumerate(layouts)]
-    if len(spans) == 1:
-        call = f
+    several = len(live) > 1
+    if several:
+        # each integral's part of the call: its parents, then their children
+        owner = np.arange(len(live)).repeat([3 * acc.size for acc in live])
+    if raw is None:
+        child_vals, raw = _panel_values(f(flat, owner) if several else f(flat),
+                                        order, half, flat)
     else:
-        def call(x):  # f, told the owners of the current level's panels
-            return f(x, owner)
+        child_vals = _estimates(raw, order, half, flat)
+    rows = raw.ndim == 2
+    if several:
+        child_vals, parent_vals, firsts, owner = _split_first_level(
+            child_vals, raw, live, order)
+    else:
+        parent_vals = child_vals[:, :lefts.size]
+        child_vals, firsts = child_vals[:, lefts.size:], [raw]
     results: list = [None] * len(spans)
-    for depth in range(1, spec.max_depth + 1):
-        # a call holds 3 columns per live parent at depth 1 (the parent
-        # and its children), and 2 (its children) later
-        width = 3 if depth == 1 else 2
-        if depth > 1:
-            child_lefts, child_rights = _bisect(lefts, rights)
-            half, flat = _layout(order, child_lefts, child_rights)
-            for acc in live:
-                acc.evals += 2 * order * acc.size
-        if call is not f:
-            owner = np.repeat([acc.index for acc in live],
-                              [width * acc.size for acc in live])
-        child_vals, raw = _panel_values(
-            call(flat) if depth > 1 or given is None else given, order,
-            half, flat)
-        if depth == 1:
-            rows = raw.ndim == 2
-            child_vals, parent_vals, firsts = _split_first_level(
-                child_vals, raw, live, order)
-        # the columns bounds[k]:bounds[k + 1] are the k-th live integral's
-        bounds = ([0, lefts.size] if len(live) == 1
-                  else [0, *accumulate(acc.size for acc in live)])
-
+    for depth in range(1, max_depth + 1):
         refined = child_vals[:, 0::2] + child_vals[:, 1::2]
         abs_refined = np.abs(refined[0])
         # the largest componentwise |refined - parent| of each panel
@@ -440,42 +446,59 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
         err = diff[0] if len(diff) == 1 else _max(diff, axis=0)
         tol = rel_tol * abs_refined
         ok = err <= np.maximum(tol, ABS_FLOOR, out=tol)
-        whole = _whole(ok, bounds)
-        if not all(whole):
-            _accept_negligible(ok, abs_refined, parent_vals[0], live, bounds,
-                               whole, rel_tol)
-            whole = _whole(ok, bounds)
 
-        going = []
-        for k, acc in enumerate(live):
-            s, e = bounds[k], bounds[k + 1]
+        # the live integrals' parents fill the level in batch order
+        going, e = [], 0
+        for acc in live:
+            s, e = e, e + acc.size
+            accepted = ok[s:e]  # a view: the guard below accepts in ok
+            count = _count(accepted)
+            if count < acc.size:
+                # the negligible-panel guard: a panel whose refined and
+                # parent masses are both within the integral's share of
+                # the tolerance budget (rel_tol times the absolute mass
+                # it has accepted plus this level's view, per panel)
+                mass = abs_refined[s:e]
+                share = rel_tol * (acc.abs + float(_sum(mass))) / acc.size
+                accepted |= np.maximum(
+                    mass, np.abs(parent_vals[0, s:e])) <= share
+                count = _count(accepted)
             if keep_nodes:  # the children of this integral's panels
                 child_pts = (
                     layouts[acc.index][5].reshape(order, -1)[:, acc.size:]
                     if depth == 1 else flat.reshape(order, -1)[:, 2 * s:2 * e])
-            if whole[k]:
-                acc.accept(lefts[s:e], refined[:, s:e], err[s:e],
-                           child_pts if keep_nodes else None)
-                results[acc.index] = acc.result(rows, keep_nodes)
+            if count == acc.size:
+                acc.err += float(_sum(err[s:e]))
+                results[acc.index] = acc.result(
+                    lefts[s:e], refined[:, s:e],
+                    child_pts if keep_nodes else None, rows)
                 continue
-            accepted = ok[s:e]
-            if np.count_nonzero(accepted):
+            if count:
+                acc.err += float(_sum(err[s:e][accepted]))
+                acc.abs += float(_sum(abs_refined[s:e][accepted]))
                 acc.accept(lefts[s:e][accepted], refined[:, s:e][:, accepted],
-                           err[s:e][accepted],
                            child_pts[:, accepted.repeat(2)] if keep_nodes
-                           else None, abs_refined[s:e][accepted])
-            acc.size = 2 * (e - s - np.count_nonzero(accepted))
-            if depth == spec.max_depth or acc.size > MAX_LIVE_PANELS:
+                           else None)
+            acc.size = 2 * (acc.size - count)
+            if depth == max_depth or acc.size > MAX_LIVE_PANELS:
                 raise _unconverged(
                     acc, ~accepted, child_lefts[2 * s:2 * e],
                     child_vals[:, 2 * s:2 * e], err[s:e], rows, depth, spec)
+            acc.evals += 2 * order * acc.size
             going.append(acc)
         if not going:
             break
-        pair_refine = (~ok).repeat(2)
-        lefts = child_lefts[pair_refine]
-        rights = child_rights[pair_refine]
-        parent_vals = child_vals[:, pair_refine]
+        # the children of the panels still live, as positions in the call,
+        # are the next level's parents
+        refine = (~ok).repeat(2).nonzero()[0]
+        lefts, rights = child_lefts[refine], child_rights[refine]
+        parent_vals = child_vals[:, refine]
+        child_lefts, child_rights = _bisect(lefts, rights)
+        half, flat = _layout(order, child_lefts, child_rights)
+        if several:  # the owner of each child panel
+            owner = owner[refine].repeat(2)
+        child_vals, _raw = _panel_values(
+            f(flat, owner) if several else f(flat), order, half, flat)
         live = going
     return results, layouts, firsts
 
@@ -499,42 +522,17 @@ def _unconverged(acc, unaccepted, child_lefts, child_vals, err, rows, depth,
 
 def _split_first_level(vals, raw, live, order):
     """The estimates of the children and of the parents of a first call
-    (each integral's part: its parents, then their children), and the
-    values f gave at each integral's part of it."""
-    if len(live) == 1:
-        size = live[0].size
-        return vals[:, size:], vals[:, :size], [raw]
+    (each integral's part: its parents, then their children), the values
+    f gave at each integral's part of it, and the owner of each child
+    panel."""
     per_node = raw.reshape(raw.shape[:-1] + (order, -1))
     parts = [n for acc in live for n in (acc.size, 2 * acc.size)]
     ends = [*accumulate(parts)][1::2]
     firsts = [per_node[..., end - 3 * acc.size:end]
               for end, acc in zip(ends, live)]
     is_parent = np.array([True, False] * len(live)).repeat(parts)
-    return vals[:, ~is_parent], vals[:, is_parent], firsts
-
-
-def _whole(ok, bounds) -> list:
-    """Whether ``ok`` holds every panel of each live integral, whose
-    columns ``bounds`` delimit."""
-    if len(bounds) == 2:
-        return [np.count_nonzero(ok) == ok.size]
-    return np.logical_and.reduceat(ok, bounds[:-1]).tolist()
-
-
-def _accept_negligible(ok, abs_refined, parent_mass, live, bounds,
-                       whole, rel_tol) -> None:
-    """Accept, in ``ok``, every panel of each live integral that ``whole``
-    does not mark whose refined and parent masses are both within its
-    integral's negligible-contribution share of the global tolerance
-    budget: rel_tol times the absolute mass its integral has accepted so
-    far plus this level's view, per panel of the level.  ``bounds``
-    delimits each live integral's columns."""
-    for acc, s, e, done in zip(live, bounds, bounds[1:], whole):
-        if not done:
-            share = rel_tol * (acc.abs + float(_sum(abs_refined[s:e]))) \
-                / max(e - s, 1)
-            ok[s:e] |= np.maximum(abs_refined[s:e],
-                                  np.abs(parent_mass[s:e])) <= share
+    owner = np.arange(len(live)).repeat(parts[1::2])
+    return vals[:, ~is_parent], vals[:, is_parent], firsts, owner
 
 
 def _ordered_sum(pos_chunks, val_chunks, rows):

@@ -873,7 +873,7 @@ def test_measuring_a_long_ladder_builds_no_layout(tmp_path, monkeypatch):
     ladder = tuple(10.0 ** (-5.0 - 3.0 * k / 11) for k in range(12))
     cfg = RunConfig(sigma0_ladder=ladder, output_dir=tmp_path)
     events = []
-    build, m1 = quadrature._first_layouts, measurement.first_moment
+    build, m1 = quadrature._first_layouts, measurement._first_moment
 
     def counting_build(spans, order):
         events.append(len(spans))
@@ -884,7 +884,7 @@ def test_measuring_a_long_ladder_builds_no_layout(tmp_path, monkeypatch):
         return m1(dist)
 
     monkeypatch.setattr(quadrature, "_first_layouts", counting_build)
-    monkeypatch.setattr(measurement, "first_moment", counting_m1)
+    monkeypatch.setattr(measurement, "_first_moment", counting_m1)
     run_table(cfg)
     first = events.index("m1")
     # the 12 norm passes, then the tail passes of the cells that reach

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclock import (ArrivalScheme, PhysicsConfig, QuadratureSpec, distribution,
                     integrate, integrate_full, pi_of_phi, quadrature)
@@ -535,3 +538,110 @@ def test_panel_sums_are_the_ordered_sum_for_every_panel_count():
             got, _rows = quadrature._panel_values(
                 raw, order, halves[:panels], np.zeros(order * panels))
             assert np.array_equal(got, expected[:k, :panels]), (panels, k)
+
+
+def batch_integrand(kind, center, width, rows):
+    """An integrand of ``batch_spans``: a smooth bump, a narrow spike that
+    needs several levels, or that spike with its flanks flushed to +0.0
+    beyond 12 widths, where the negligible-panel guard accepts the
+    panels that straddle the cut."""
+    def f(x):
+        if kind == "smooth":
+            w = np.exp(np.sin(3.0 * x))
+        else:
+            w = np.exp(-0.5 * ((x - center) / width) ** 2)
+            if kind == "flushed":
+                w = np.where(np.abs(x - center) < 12.0 * width, w, 0.0)
+        return np.stack((w, w * np.cos(x), w * np.sin(x))) if rows == 3 else w
+    return f
+
+
+@st.composite
+def batch_spans(draw):
+    """1-6 (span, integrand) of a batch, every integrand with the same
+    number of rows; each span's hints may repeat, lie outside it or
+    bracket its spike."""
+    rows = draw(st.sampled_from((1, 3)))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.sampled_from((0.0, 0.3, 1.0)))
+        b = a + draw(st.sampled_from((0.5, 3.0, TWO_PI)))
+        kind = draw(st.sampled_from(("smooth", "spike", "flushed")))
+        center = a + (b - a) * draw(st.floats(0.05, 0.95))
+        width = 10.0 ** draw(st.floats(-5.0, -2.0))
+        near = [center + k * width for k in (-16, -4, -1, 0, 1, 4, 16)]
+        hints = draw(st.lists(st.one_of(st.sampled_from(near),
+                                        st.floats(a - 1.0, b + 1.0)),
+                              max_size=5))
+        out.append(((a, b, tuple(hints)),
+                    batch_integrand(kind, center, width, rows)))
+    return out
+
+
+def batch_of(integrands, order):
+    """The integrand f(x, owner) of a batch that gives each span its own."""
+    def f(x, owner):
+        per_point = np.tile(owner, order)
+        out = None
+        for k, g in enumerate(integrands):
+            mine = per_point == k
+            if mine.any():
+                part = g(x[mine])
+                if out is None:
+                    out = np.empty(part.shape[:-1] + x.shape)
+                out[..., mine] = part
+        return out
+    return f
+
+
+def result_bits(res):
+    return (bits_of(res.value), res.error.hex(), res.n_evals, res.n_panels,
+            None if res.nodes is None else bits_of(res.nodes))
+
+
+def outcome(run):
+    """The bits of ``run()``'s results, or of the ConvergenceError it
+    raises: its text, best estimate and error estimate."""
+    try:
+        results, _layouts, _firsts = run()
+    except ConvergenceError as exc:
+        return ("error", str(exc), bits_of(exc.best_estimate),
+                exc.error_estimate.hex())
+    return ("ok", [result_bits(res) for res in results])
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(batch_spans(), st.booleans(),
+       st.sampled_from((QuadratureSpec(), QuadratureSpec(panel_order=8),
+                        QuadratureSpec(rel_tol=1e-12, max_depth=3),
+                        QuadratureSpec(rel_tol=1e-8, max_depth=6))))
+def test_each_integral_of_a_batch_has_the_bits_of_its_batch_of_one(
+        cases, keep_nodes, spec):
+    spans = [span for span, _g in cases]
+    integrands = [g for _span, g in cases]
+    alone = [outcome(lambda: quadrature._integrate_batch(
+        g, [span], spec, keep_nodes)) for span, g in cases]
+    batch = outcome(lambda: quadrature._integrate_batch(
+        batch_of(integrands, spec.panel_order) if len(cases) > 1
+        else integrands[0], spans, spec, keep_nodes))
+    failed = [(int(re.search(r"at depth (\d+)", got[1]).group(1)), k)
+              for k, got in enumerate(alone) if got[0] == "error"]
+    if failed:
+        # the first integral to fail ends the batch with its own error
+        assert batch == alone[min(failed)[1]]
+    else:
+        assert batch == ("ok", [got[1][0] for got in alone])
+    if batch[0] == "error":
+        return
+    # a pass handed the first level of the batch, or of its own pass
+    # alone, has the bits of calling its integrand at every level
+    _results, layouts, firsts = quadrature._integrate_batch(
+        batch_of(integrands, spec.panel_order) if len(cases) > 1
+        else integrands[0], spans, spec, keep_nodes)
+    for k, (span, g) in enumerate(cases):
+        _results, (layout,), (first,) = quadrature._integrate_batch(
+            g, [span], spec)
+        values = np.reshape(firsts[k], np.shape(first))
+        for given_first in ((layout, first), (layouts[k], values)):
+            assert outcome(lambda: quadrature._integrate_batch(
+                g, [span], spec, keep_nodes, first=given_first)) == alone[k]
