@@ -41,6 +41,14 @@ EXIT_VALIDATION = 3
 EXIT_CONVERGENCE = 4
 EXIT_IO = 5
 
+#: Each error type that ``main`` reports and its exit code; first match wins.
+_EXIT_CODES = ((ConfigParseError, EXIT_PARSE),
+               ((ValidationError, DomainError, UnsupportedSchemeError,
+                 DegenerateDistributionError), EXIT_VALIDATION),
+               (ConvergenceError, EXIT_CONVERGENCE),
+               (OSError, EXIT_IO),
+               (QClockError, 1))
+
 DEFAULT_SIGMA0_LADDER = (1e-5, 1e-6, 1e-7, 1e-8)
 
 #: Rotator lengths (cm) of the two built-in presets; everything else is
@@ -435,22 +443,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             for path in run_compare(cfg):
                 print(f"wrote {path}")
-    except ConfigParseError as exc:
+    except (QClockError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValidationError, DomainError, UnsupportedSchemeError,
-            DegenerateDistributionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except QClockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
     return EXIT_OK
 
 

@@ -75,19 +75,19 @@ class AngularDistribution:
     """Normalized angular density on [0, 2*pi], tabulated on first read.
 
     Built by ``from_density``, for any density, or by ``pi_of_phi``, for
-    the exit current; both construct it in one step, after one shared
-    normalization pass, and only ``from_density`` checks the density's
-    values for sign and shape.  ``density_fn`` is the continuous
-    normalized density used by every downstream integral.  That pass
-    keeps one read-only record of its first level, ``_first_level``:
-    its layout (``_integrate_batch``'s six arrays, the nodes last) and
-    the rows [w, w*cos, w*sin] of the normalized density w at those
+    the exit current; both construct it with one helper, ``_normalized``,
+    after one shared normalization pass, and only ``from_density`` checks
+    the density's values for sign and shape.  ``density_fn`` is the
+    continuous normalized density used by every downstream integral.  That
+    pass keeps one read-only record of its first level, ``_first_level``:
+    its layout (``_integrate_batch``'s six arrays, the nodes last) and the
+    rows [w, w*cos, w*sin] of the normalized density w at those
     nodes.  Every later pass over [0, 2*pi] at ``quad`` (``first_moment``,
     ``mean_phi``, ``variance_phi``) is given that layout and its
     integrand's values there, computed from the rows, so its first level
     calls the density no more.  ``peak_phi`` brackets the maximum of a
-    distribution with a ``log_slope`` on row 0.  No observable is kept:
-    each pass runs anew from the record.
+    distribution with a ``log_slope`` on row 0.  No observable is kept: each
+    pass runs anew from the record.
     ``norm_constant`` is the unnormalized total that was divided out;
     ``nodes`` holds the accepted abscissas of that normalization pass;
     ``quad`` is the spec it was built with, which every observable reuses.
@@ -177,11 +177,8 @@ class AngularDistribution:
 
         (total,), (layout,), (first,) = _integrate_batch(
             nonnegative, [(0.0, TWO_PI, hints)], quad, keep_nodes=True)
-        norm, nodes, first_level, density_fn = _normalized(
-            fn, total, layout, first)
-        return cls(density_fn=density_fn, norm_constant=norm, nodes=nodes,
-                   quad=quad, split_hints=hints, truncated_tail_mass=0.0,
-                   meta=dict(meta) if meta else {}, _first_level=first_level)
+        return _normalized(fn, total, layout, first, quad, hints,
+                           truncated_tail_mass=0.0, meta=dict(meta or {}))
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -241,18 +238,21 @@ def _check_nonnegative(values: np.ndarray) -> None:
         raise ValidationError("density is negative somewhere on the grid")
 
 
-def _normalized(fn, total: QuadratureResult, layout, first_values):
-    """(norm, nodes, first_level, density_fn) of a density ``fn`` from the
-    result ``total`` of its normalization pass over [0, 2*pi]
-    (``_integrate_batch``), the layout of the pass's first call and the
-    values fn gave at that layout's nodes there.
+def _normalized(fn, total: QuadratureResult, layout, first_values, quad,
+                hints, **fields) -> AngularDistribution:
+    """The distribution of a density ``fn`` from the result ``total`` of
+    its normalization pass over [0, 2*pi] (``_integrate_batch``) at
+    ``quad`` with ``hints``, the layout of the pass's first call and the
+    values fn gave at that layout's nodes there; ``fields`` are its
+    fields that the pass does not give.
 
-    ``norm`` is the pass's total, ``nodes`` its accepted abscissas, and
-    ``first_level`` the read-only record of its first call: ``layout``
-    and the rows [w, w*cos, w*sin] of w = first_values/norm at its nodes.
-    ``density_fn`` is fn/norm.  ``first_values`` is node-major, in any
-    shape with one value per node.  A total that is 0 or not finite
-    raises ``DegenerateDistributionError``.
+    ``norm_constant`` is the pass's total, ``nodes`` its accepted
+    abscissas, and ``_first_level`` the read-only record of its first
+    call: ``layout`` and the rows [w, w*cos, w*sin] of
+    w = first_values/norm at its nodes.  ``density_fn`` is fn/norm.
+    ``first_values`` is node-major, in any shape with one value per
+    node.  A total that is 0 or not finite raises
+    ``DegenerateDistributionError``.
     """
     norm = total.value
     if not math.isfinite(norm) or norm <= 0.0:
@@ -265,7 +265,10 @@ def _normalized(fn, total: QuadratureResult, layout, first_values):
     def density_fn(phi, _fn=fn, _norm=norm):
         return np.asarray(_fn(np.asarray(phi, dtype=np.float64))) / _norm
 
-    return norm, total.nodes, (layout, first_rows), density_fn
+    return AngularDistribution(
+        density_fn=density_fn, norm_constant=norm, nodes=total.nodes,
+        quad=quad, split_hints=hints, _first_level=(layout, first_rows),
+        **fields)
 
 
 def _nothing_to_normalize(total: float) -> str:
@@ -324,9 +327,9 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     """Normalized distribution of emergent spin azimuths on [0, 2*pi].
 
     ``cfg`` must be a ``PhysicsConfig`` and ``quad`` None or a
-    ``QuadratureSpec``; anything else raises ``ValidationError``, as a
-    scheme that is no ``ArrivalScheme`` does (``scheme_weight``).  The
-    current's support (``exit_current_support``, mapped to
+    ``QuadratureSpec``; anything else raises ``ValidationError``, and
+    then so does a scheme that is no ``ArrivalScheme`` (``scheme_weight``).
+    The current's support (``exit_current_support``, mapped to
     phi = 2*omega*t and kept as the distribution's ``support``) comes
     next: when it starts at or past 2*pi the weight is +0.0 on all of
     [0, 2*pi], and ``DegenerateDistributionError`` ("density integrates
@@ -339,30 +342,27 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     The quadrature is seeded with the packet peak's rotation angle so the
     first bisections bracket the spike.  Mass at angles beyond one full
     turn is discarded; a finite-horizon estimate of the discarded fraction
-    is attached and a warning is emitted when it exceeds 1e-6.  That
-    estimate integrates the weight over [2*pi, 8*pi] only when the
-    support reaches past 2*pi; otherwise the weight is +0.0 there and
-    the estimate is 0.0, as the pass would give.  The
-    distribution's ``log_slope`` is phi -> d/dt ln of the scheme's |J| at
-    t = phi/(2*omega) (``exit_current_log_slope``, with the spin part for
-    the total current); jx > 0 for t >= 0, so |jx| = jx.  The
-    distribution is built once, with every field known; its first-level
+    is attached and a warning, pointing at the caller's line, is emitted
+    when it exceeds 1e-6.  That estimate integrates the weight over
+    [2*pi, 8*pi] only when the support reaches past 2*pi; otherwise the
+    weight is +0.0 there and the estimate is 0.0, as the pass would give.
+    The distribution's ``log_slope`` is phi -> d/dt ln of the scheme's
+    |J| at t = phi/(2*omega) (``exit_current_log_slope``, with the spin
+    part for the total current); jx > 0 for t >= 0, so |jx| = jx.  It is
+    the ladder of one of ``_distributions``, which builds a whole ladder
+    for ``run_table``, ``run_curve`` and ``run_compare``; its first-level
     record and ``density_fn`` come from the normalization helper that
-    ``from_density`` uses too.  It is built as the one cell of a ladder
-    (``_ladder_parts``), as ``_distributions`` builds a whole ladder for
-    ``run_table``, ``run_curve`` and ``run_compare``.
+    ``from_density`` uses too.
     """
     check_type("cfg", cfg, PhysicsConfig)
-    scheme_weight(cfg, scheme)
     quad = checked_spec(quad, "quad")
-    (part,) = _ladder_parts([(cfg, scheme)], quad)
-    return _cell_distribution(cfg, scheme, quad, part, 3)
+    return next(_distributions([(cfg, scheme)], quad, stacklevel=3))
 
 
 def _distributions(cells, quad: QuadratureSpec, stacklevel: int = 2):
-    """The distribution of each (cfg, scheme) of ``cells`` (one or more),
-    in order, as ``pi_of_phi`` builds it alone, from one batch of
-    normalization passes and one of tail passes (``_ladder_parts``).
+    """The distribution of each (cfg, scheme) of the list ``cells`` (one
+    or more), in order, as ``pi_of_phi`` builds it alone, from one batch of
+    normalization passes and one of tail passes (``_build_ladder``).
 
     The configs may differ in sigma0 only, as a ladder's cells do; each
     level of a batch is then one kernel call, which evaluates every
@@ -370,7 +370,7 @@ def _distributions(cells, quad: QuadratureSpec, stacklevel: int = 2):
     distribution has the bits that ``pi_of_phi`` gives its cell.
 
     A generator.  Both batches run before the first cell is yielded; a
-    cell's tail warning is emitted, with ``stacklevel`` counted from
+    cell's tail warning is emitted here, with ``stacklevel`` counted from
     here, when the walk reaches it.  When a batch of several cells raises
     a ``QClockError`` (a refusal or a pass's error), each cell is built
     alone instead, as ``pi_of_phi`` builds it, when the walk reaches it;
@@ -381,79 +381,68 @@ def _distributions(cells, quad: QuadratureSpec, stacklevel: int = 2):
     passes over a cell that follow build none, however many cells the
     ladder has.
     """
-    cells = list(cells)
     try:
-        parts = _ladder_parts(cells, quad)
+        dists = _build_ladder(cells, quad)
     except QClockError:
         if len(cells) == 1:
             raise
-        parts = None  # built below, so no cell error chains the batch's
-    for i, (cfg, scheme) in enumerate(cells):
-        part = parts[i] if parts else _ladder_parts([(cfg, scheme)], quad)[0]
-        yield _cell_distribution(cfg, scheme, quad, part, stacklevel + 1)
+        dists = None  # built below, so no cell error chains the batch's
+    for i, cell in enumerate(cells):
+        dist = dists[i] if dists else _build_ladder([cell], quad)[0]
+        if dist.truncated_tail_mass > _TAIL_WARN_LEVEL:
+            warnings.warn(
+                f"discarded rotation-angle mass beyond one turn is "
+                f"{dist.truncated_tail_mass:.3e} (finite-horizon estimate); "
+                f"results are biased at that level", stacklevel=stacklevel)
+        yield dist
 
 
-def _cell_distribution(cfg: PhysicsConfig, scheme: ArrivalScheme,
-                       quad: QuadratureSpec, part: list, stacklevel: int):
-    """The distribution of the cell (cfg, scheme) from its ``part`` of
-    ``_ladder_parts``; its tail warning is emitted with ``stacklevel``
-    counted from here."""
-    support, hints, (norm, nodes, first_level, density_fn), tail = part
-    tail_frac = tail / (norm + tail)
-    if tail_frac > _TAIL_WARN_LEVEL:
-        warnings.warn(
-            f"discarded rotation-angle mass beyond one turn is "
-            f"{tail_frac:.3e} (finite-horizon estimate); results are "
-            f"biased at that level", stacklevel=stacklevel)
-    meta = {
-        "scheme": scheme.value,
-        "sigma0_cm": repr(cfg.sigma0), "u_cm_per_s": repr(cfg.u),
-        "d_cm": repr(cfg.d), "B_gauss": repr(cfg.B),
-        "mu_erg_per_gauss": repr(cfg.mu),
-        "m0_g": repr(cfg.m0), "hbar_erg_s": repr(cfg.hbar),
-    }
-    return AngularDistribution(
-        density_fn=density_fn, norm_constant=norm, nodes=nodes, quad=quad,
-        split_hints=hints, truncated_tail_mass=tail_frac, meta=meta,
-        _first_level=first_level, support=support,
-        log_slope=_log_slope(cfg, scheme))
+def _build_ladder(cells, quad: QuadratureSpec) -> list:
+    """The ``AngularDistribution`` of each (cfg, scheme) of ``cells``, one
+    or more, with its tail mass and no warning (``_distributions``).
 
-
-def _ladder_parts(cells, quad: QuadratureSpec) -> list:
-    """Per cell of ``cells``, one or more, [support, hints, (norm, nodes,
-    first_level, density_fn), tail mass] (``_cell_distribution``); the
-    first error of any cell (its refusal, a pass's error or
-    ``_normalized``'s) is raised."""
-    parts, weights, spans = [], [], []
+    The first error of any cell is raised, in this order: a cell's
+    scheme (``scheme_weight``) or support refusal, cell by cell; the
+    norm batch's error; each cell's normalization (``_normalized``), in
+    turn; then the tail batch's error.
+    """
+    weights, spans, fields = [], [], []
     for cfg, scheme in cells:
+        weights.append(scheme_weight(cfg, scheme))
         two_omega = 2.0 * cfg.omega
         t_lo, t_hi = exit_current_support(cfg)
-        support = (two_omega * t_lo, two_omega * t_hi)
-        if support[0] >= TWO_PI:
+        if two_omega * t_lo >= TWO_PI:
             # the whole first turn lies below the support: +0.0 integrates
             # to 0.0
             raise DegenerateDistributionError(_nothing_to_normalize(0.0))
         spike_width = two_omega * width(cfg, cfg.transit_time).sigma_t / cfg.u
-        hints = bracketing_hints(cfg.phi_peak, spike_width)
-        weights.append(scheme_weight(cfg, scheme))
-        spans.append((0.0, TWO_PI, hints))
-        parts.append([support, hints, None, 0.0])
+        spans.append((0.0, TWO_PI, bracketing_hints(cfg.phi_peak,
+                                                    spike_width)))
+        fields.append(dict(
+            truncated_tail_mass=0.0, log_slope=_log_slope(cfg, scheme),
+            support=(two_omega * t_lo, two_omega * t_hi), meta={
+                "scheme": scheme.value,
+                "sigma0_cm": repr(cfg.sigma0), "u_cm_per_s": repr(cfg.u),
+                "d_cm": repr(cfg.d), "B_gauss": repr(cfg.B),
+                "mu_erg_per_gauss": repr(cfg.mu),
+                "m0_g": repr(cfg.m0), "hbar_erg_s": repr(cfg.hbar)}))
     results, layouts, firsts = _integrate_batch(
         _ladder_weight(cells, weights), spans, quad, keep_nodes=True)
-    for part, weight, total, layout, first in zip(parts, weights, results,
-                                                  layouts, firsts):
-        part[2] = _normalized(weight, total, layout, first)
+    dists = [_normalized(weight, total, layout, first, quad, span[2], **cell)
+             for weight, span, cell, total, layout, first
+             in zip(weights, spans, fields, results, layouts, firsts)]
     # the cells whose support reaches past 2*pi; beyond it the weight is
     # +0.0, whose integral is 0.0
-    past = [i for i, part in enumerate(parts) if part[0][1] > TWO_PI]
+    past = [i for i, dist in enumerate(dists) if dist.support[1] > TWO_PI]
     if past:
         tails, _layouts, _firsts = _integrate_batch(
             _ladder_weight([cells[i] for i in past],
                            [weights[i] for i in past]),
             [(TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, ())] * len(past), quad)
         for i, tail in zip(past, tails):
-            parts[i][3] = tail.value
-    return parts
+            mass = tail.value / (dists[i].norm_constant + tail.value)
+            dists[i] = replace(dists[i], truncated_tail_mass=mass)
+    return dists
 
 
 def _log_slope(cfg: PhysicsConfig, scheme: ArrivalScheme):
@@ -468,30 +457,26 @@ def _ladder_weight(cells, weights):
     in sigma0 only, as one integrand of ``_integrate_batch``; ``weights``
     are their ``scheme_weight``s.
 
-    For one cell it is its weight.  For several it is f(phi, owner), and
-    one kernel call gives the points of each panel the current at the
-    sigma0 of the cell that ``owner`` names, and |J| or |jx| by that
-    cell's scheme; every operation is elementwise, so each value has the
-    bits of the cell's own weight.
+    For one cell it is its weight.  For several it is f(phi, owner): one
+    kernel call gives the points of each panel the current at the sigma0
+    of the cell that ``owner`` names, and hypot(jx, jz), or for the
+    Schrodinger current hypot(jx, +0.0), which is |jx| (C99 F.9.4.3).
+    Every operation is elementwise, so each value has the bits of the
+    cell's own weight.
     """
     if len(cells) == 1:
         return weights[0]
     cfg = cells[0][0]
     two_omega = 2.0 * cfg.omega
     widths = np.array([cell_cfg.sigma0 for cell_cfg, _scheme in cells])
-    total = [scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT
-             for _cfg, scheme in cells]
-    mixed = np.array(total) if any(total) and not all(total) else None
+    total = np.array([scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT
+                      for _cfg, scheme in cells])
 
     def weight(phi, owner):
         # node-major: column p of every row is a point of panel p
         t = (phi / two_omega).reshape(-1, owner.size)
         jx, jz = exit_current_grid(cfg, t, sigma0=widths[owner])
-        if mixed is not None:  # hypot(jx, +0.0) is |jx| (C99 F.9.4.3)
-            values = np.hypot(jx, np.where(mixed[owner], jz, 0.0))
-        else:
-            values = np.hypot(jx, jz) if total[0] else np.abs(jx)
-        return values.ravel()
+        return np.hypot(jx, np.where(total[owner], jz, 0.0)).ravel()
 
     return weight
 

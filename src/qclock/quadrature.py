@@ -43,15 +43,18 @@ for all its cells.
 The node array a call passes to the integrand is node-major: viewed as
 (order, panels), row j holds node j of every panel.  The first two levels'
 layout (the hint panels, their children, and the half-widths and nodes of
-the call over both) depends only on (interval, hints, order).  A batch
-builds the layouts of all its integrals in one pass and returns each
-one's, with the integrand's values at its nodes; a later pass over the
-same integral can be given that layout and its own integrand's values
-there, and then calls the integrand only from the second bisection on;
-it takes those values as they are, float64 of the integrand's shape,
-and checks only that their estimates are finite.  Every array in a layout is read-only, as is every node array an
-integrand receives.  Deeper levels build their layouts with the same
-function.
+the call over both) depends only on (interval, hints, order).  Every
+first call holds all its hint panels, then all their children, whether
+it serves one integral or several.  A batch builds the layouts of all
+its integrals in one pass and returns each one's, gathered from its two
+column slices of the call (its hint panels and their children), with
+the integrand's values at its nodes; a later pass over the same integral
+can be given that layout and its own integrand's values there, and then
+calls the integrand only from the second bisection on; it takes those
+values as they are, float64 of the integrand's shape, and checks only
+that their estimates are finite.  Every array in a layout is read-only,
+as is every node array an integrand receives.  Deeper levels build their
+layouts with the same function.
 
 Determinism matters: output files must be byte-identical across runs and
 installs.  Every panel estimate is ``half * sum_j w_j*f(x_j)``, each
@@ -68,7 +71,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -208,9 +211,11 @@ def _layout(order, lefts, rights):
 def _first_layouts(spans, order):
     """The layout of the joint call of ``spans``, (a, b, hints) at one
     order, and each span's own layout, from one bisection and one node
-    layout over all their panels.  A span that recurs gets the layout of
-    its first place.  Each span's arrays are read-only views of the joint
-    ones, except its node array, which is its own."""
+    layout over all their panels.  The joint call holds every span's
+    hint panels, then all their children, as one span's call does.  Each
+    span's edge arrays are read-only views of the joint ones; its
+    half-widths and nodes are its own copies of its two column slices of
+    the call (``_own_columns``)."""
     lefts, rights, sizes = [], [], []
     for a, b, hints in spans:
         edges = [a]
@@ -223,31 +228,29 @@ def _first_layouts(spans, order):
         sizes.append(len(edges) - 1)
     lefts, rights = np.array(lefts), np.array(rights)
     child_lefts, child_rights = _bisect(lefts, rights)
-    call_lefts = np.concatenate((lefts, child_lefts))
-    call_rights = np.concatenate((rights, child_rights))
-    if len(spans) > 1:
-        bounds = [0, *accumulate(sizes)]
-        parts = [*zip(bounds, bounds[1:])]
-        # each span's part of the call holds its parents, then its children
-        total = bounds[-1]
-        index = np.concatenate([part for p, q in parts for part in (
-            np.arange(p, q), np.arange(total + 2 * p, total + 2 * q))])
-        call_lefts, call_rights = call_lefts[index], call_rights[index]
-    half, flat = _layout(order, call_lefts, call_rights)
+    half, flat = _layout(order, np.concatenate((lefts, child_lefts)),
+                         np.concatenate((rights, child_rights)))
     joint = (lefts, rights, child_lefts, child_rights, half, flat)
     for arr in joint[:5]:
         arr.setflags(write=False)
     if len(spans) == 1:
         return joint, [joint]
-    flat = flat.reshape(order, -1)
-    own = {}
-    for span, (p, q) in zip(spans, parts):
-        if span not in own:
-            nodes = flat[:, 3 * p:3 * q].ravel()
-            nodes.setflags(write=False)
-            own[span] = (lefts[p:q], rights[p:q], child_lefts[2 * p:2 * q],
-                         child_rights[2 * p:2 * q], half[3 * p:3 * q], nodes)
-    return joint, [own[span] for span in spans]
+    columns = flat.reshape(order, -1)
+    return joint, [(lefts[p:q], rights[p:q], child_lefts[2 * p:2 * q],
+                    child_rights[2 * p:2 * q],
+                    _own_columns(half, p, q, lefts.size),
+                    _own_columns(columns, p, q, lefts.size).ravel())
+                   for p, q in pairwise([0, *accumulate(sizes)])]
+
+
+def _own_columns(call, p, q, parents):
+    """A read-only copy of the columns, along the last axis, of one span
+    of a first call over ``parents`` hint panels, whose hint panels are
+    p:q: those panels, then their children."""
+    own = np.concatenate(
+        (call[..., p:q], call[..., parents + 2 * p:parents + 2 * q]), -1)
+    own.flags.writeable = False
+    return own
 
 
 def hint_tuple(split_hints: Iterable[float]) -> tuple:
@@ -405,9 +408,9 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
     first call (its hint panels' edges, their children's, and the
     half-widths and nodes of the call over both); and the values f gave
     at that layout's nodes in the first call: f's own array for one span,
-    and for several a view of its part of the call, shaped (order,
-    panels) after any leading row axis.  The first error that ends any
-    integral's pass ends the batch: a ``ConvergenceError``
+    and for several its own copy of its two column slices of the call,
+    shaped (order, panels) after any leading row axis.  The first error
+    that ends any integral's pass ends the batch: a ``ConvergenceError``
     (``_unconverged``), a ``ValidationError`` for a value that is
     malformed (``_panel_values``) or not finite (``_estimates``), or f's
     own exception.
@@ -421,21 +424,25 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
     live = [_Pass(i, layout[0].size, order)
             for i, layout in enumerate(layouts)]
     several = len(live) > 1
+    parents = lefts.size  # the first call holds them, then their children
     if several:
-        # each integral's part of the call: its parents, then their children
-        owner = np.arange(len(live)).repeat([3 * acc.size for acc in live])
+        sizes = [acc.size for acc in live]
+        owner = np.arange(len(live)).repeat(sizes)
+        owner = np.concatenate((owner, owner.repeat(2)))
     if raw is None:
         child_vals, raw = _panel_values(f(flat, owner) if several else f(flat),
                                         order, half, flat)
     else:
         child_vals = _estimates(raw, order, half, flat)
     rows = raw.ndim == 2
+    parent_vals, child_vals = child_vals[:, :parents], child_vals[:, parents:]
     if several:
-        child_vals, parent_vals, firsts, owner = _split_first_level(
-            child_vals, raw, live, order)
+        owner = owner[parents:]
+        per_node = raw.reshape(raw.shape[:-1] + (order, -1))
+        firsts = [_own_columns(per_node, p, q, parents)
+                  for p, q in pairwise([0, *accumulate(sizes)])]
     else:
-        parent_vals = child_vals[:, :lefts.size]
-        child_vals, firsts = child_vals[:, lefts.size:], [raw]
+        firsts = [raw]
     results: list = [None] * len(spans)
     for depth in range(1, max_depth + 1):
         refined = child_vals[:, 0::2] + child_vals[:, 1::2]
@@ -464,9 +471,8 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
                     mass, np.abs(parent_vals[0, s:e])) <= share
                 count = _count(accepted)
             if keep_nodes:  # the children of this integral's panels
-                child_pts = (
-                    layouts[acc.index][5].reshape(order, -1)[:, acc.size:]
-                    if depth == 1 else flat.reshape(order, -1)[:, 2 * s:2 * e])
+                child_pts = flat.reshape(order, -1)[
+                    :, parents + 2 * s:parents + 2 * e]
             if count == acc.size:
                 acc.err += float(_sum(err[s:e]))
                 results[acc.index] = acc.result(
@@ -495,6 +501,7 @@ def _integrate_batch(f, spans, spec: QuadratureSpec, keep_nodes=False,
         parent_vals = child_vals[:, refine]
         child_lefts, child_rights = _bisect(lefts, rights)
         half, flat = _layout(order, child_lefts, child_rights)
+        parents = 0  # a later call holds children only
         if several:  # the owner of each child panel
             owner = owner[refine].repeat(2)
         child_vals, _raw = _panel_values(
@@ -518,21 +525,6 @@ def _unconverged(acc, unaccepted, child_lefts, child_vals, err, rows, depth,
         f"panels; best estimate {best!r})",
         best_estimate=best,
         error_estimate=acc.err + float(_sum(err[unaccepted])))
-
-
-def _split_first_level(vals, raw, live, order):
-    """The estimates of the children and of the parents of a first call
-    (each integral's part: its parents, then their children), the values
-    f gave at each integral's part of it, and the owner of each child
-    panel."""
-    per_node = raw.reshape(raw.shape[:-1] + (order, -1))
-    parts = [n for acc in live for n in (acc.size, 2 * acc.size)]
-    ends = [*accumulate(parts)][1::2]
-    firsts = [per_node[..., end - 3 * acc.size:end]
-              for end, acc in zip(ends, live)]
-    is_parent = np.array([True, False] * len(live)).repeat(parts)
-    owner = np.arange(len(live)).repeat(parts[1::2])
-    return vals[:, ~is_parent], vals[:, is_parent], firsts, owner
 
 
 def _ordered_sum(pos_chunks, val_chunks, rows):

@@ -7,7 +7,11 @@ Each case is one call of the library, timed in one process:
   current schemes, on a distribution built beforehand: one m1 pass
   accepted at its kept first level;
 - ``_distributions`` over the paper's preset-I ladder (sigma0 1e-5 to
-  1e-8 cm, total current): one norm batch and one tail batch;
+  1e-8 cm, total current): one norm batch and one tail batch; over the
+  same ladder under both current schemes, one batch of 8 spans (the
+  cells of ``compare`` on that ladder); and over the first 12-row
+  seeded ladder of ``output_digests.py`` (seed 0), the largest ladder
+  that the benchmark's ladder sweep draws;
 - ``pi_of_phi`` of the first seeded off-preset cell of
   ``library_transcript.py`` (seed 0), whose tail pass refines 6 levels;
 - ``variance_phi`` on preset II at sigma0 = 1e-8 cm, a curve cell whose
@@ -46,7 +50,9 @@ from pathlib import Path
 import numpy as np
 
 import qclock
+from qclock.cli import PRESETS
 from library_transcript import offpreset_cells
+from output_digests import seeded_ladders
 
 PRESET_SIGMA0 = (1e-5, 1e-6, 1e-7, 1e-8)
 SCHEME_NAMES = ("modulus-total-current", "modulus-schrodinger-current")
@@ -80,6 +86,16 @@ def cases(pkg) -> dict:
     ladder = [(pkg.PhysicsConfig(sigma0=s), total) for s in PRESET_SIGMA0]
     out["_distributions(paper ladder I)"] = lambda: list(
         pkg.distribution._distributions(ladder, pkg.QuadratureSpec()))
+    both_ladders = [(cfg, scheme[name]) for name in SCHEME_NAMES
+                    for cfg, _total in ladder]
+    out["_distributions(paper ladder I, both schemes)"] = lambda: list(
+        pkg.distribution._distributions(both_ladders, pkg.QuadratureSpec()))
+    _name, preset, rows = next(seeded for seeded in seeded_ladders(64, 0)
+                               if len(seeded[2]) == 12)
+    long_ladder = [(pkg.PhysicsConfig(d=PRESETS[preset], sigma0=s),
+                    total) for s in rows]
+    out[f"_distributions(12-row ladder {preset})"] = lambda: list(
+        pkg.distribution._distributions(long_ladder, pkg.QuadratureSpec()))
     physics, fuzz_scheme = next(offpreset_cells(1, 0))
     fuzz = pkg.PhysicsConfig(**physics)
     out["pi_of_phi(fuzz seed 0 #0, tail)"] = (

@@ -1,5 +1,7 @@
+import ast
 import codecs
 import functools
+import inspect
 import math
 import time
 import warnings
@@ -16,8 +18,10 @@ from qclock.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK, EXIT_PARSE,
                         default_thetas_deg, main, parse_config, run_curve,
                         run_table, serialize)
 from qclock.distribution import ArrivalScheme
-from qclock.errors import (ConfigParseError, ConvergenceError, QClockError,
-                           UnsupportedSchemeError, ValidationError)
+from qclock.errors import (AmbiguousPeakError, ConfigParseError,
+                           ConvergenceError, DegenerateDistributionError,
+                           DomainError, QClockError, UnsupportedSchemeError,
+                           ValidationError)
 from qclock.quadrature import QuadratureSpec
 
 
@@ -349,6 +353,29 @@ def test_exit_code_convergence(tmp_path, capsys):
         assert code == EXIT_CONVERGENCE
         assert time.perf_counter() - start < 1.0
         assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigParseError("unknown key 'x'", line=3), EXIT_PARSE),
+    (ValidationError("d must be positive"), EXIT_VALIDATION),
+    (DomainError("t must be >= 0"), EXIT_VALIDATION),
+    (UnsupportedSchemeError("no finite density"), EXIT_VALIDATION),
+    (DegenerateDistributionError("nothing to normalize"), EXIT_VALIDATION),
+    (ConvergenceError("unconverged", best_estimate=1.0, error_estimate=0.5),
+     EXIT_CONVERGENCE),
+    (FileNotFoundError("no such file"), EXIT_IO),
+    (AmbiguousPeakError("density plateaus"), 1),
+    (QClockError("any other typed error"), 1),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception)
+    else None)
+def test_each_handled_error_gives_its_exit_code(tmp_path, capsys,
+                                                monkeypatch, error, code):
+    def failing_run(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "run_table", failing_run)
+    assert main(["table", "--sigma0", "1e-5", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_table_refuses_a_ladder_with_no_first_turn_mass(tmp_path, capsys):
@@ -847,6 +874,33 @@ def test_a_ladder_fails_as_the_cell_by_cell_loop(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {expected}\n"
     assert [str(w.message) for w in caught] == expected_warnings
     assert not (out / "table.csv").exists()
+
+
+def walking_line(run):
+    """The line of ``run`` that walks ``_distributions``: the first line of
+    the comprehension over it."""
+    lines, start = inspect.getsourcelines(run)
+    tree = ast.parse("".join(lines))
+    for node in ast.walk(tree):  # outermost first
+        if isinstance(node, ast.ListComp) and any(
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "_distributions"
+                for call in ast.walk(node)):
+            return start + node.lineno - 1
+    raise AssertionError(f"{run.__name__} walks no _distributions")
+
+
+@pytest.mark.parametrize("run", [run_table, run_curve, cli.run_compare],
+                         ids=lambda run: run.__name__)
+def test_the_tail_warning_points_at_the_walk_in_the_cli(tmp_path, run):
+    # the first cell keeps about 1% of its mass beyond one turn
+    cfg = RunConfig(sigma0_ladder=(2.2e-9, 1e-6), output_dir=tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(cfg)
+    schemes = 2 if run is cli.run_compare else 1
+    assert [(w.filename, w.lineno) for w in caught] \
+        == [(cli.__file__, walking_line(run))] * schemes
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

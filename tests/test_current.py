@@ -352,6 +352,38 @@ def test_support_of_an_overflowing_config_is_the_whole_half_line():
     assert exit_current_support(cfg) == (0.0, math.inf)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(d=st.floats(0.1, 5.0), u=st.floats(4.0, 6.0).map(lambda e: 10.0 ** e),
+       B=st.floats(0.0, 2.0).map(lambda e: 10.0 ** e),
+       widths=st.lists(st.floats(-9.0, -0.5), min_size=3, max_size=3)
+       .map(sorted),
+       shift=st.floats(-4.0, 4.0))
+def test_a_batch_kernel_call_gives_each_width_the_bits_it_has_alone(
+        d, u, B, widths, shift):
+    # a call over several widths decides _fits at its two extremes only.
+    # Its bound crosses the ceiling near |t| = 1e150*sigma0/u, where
+    # (u*t/sigma0)^2 reaches 1e300; the times reach within a few decades
+    # of that for the middle width, so that the widths of one call fall
+    # on either side of it.  Run under the warnings-as-errors filter, so
+    # that an overflow at any width of the call fails it too
+    sigma0 = [10.0 ** e for e in widths]
+    try:
+        cells = [PhysicsConfig(d=d, u=u, B=B, sigma0=s) for s in sigma0]
+    except QClockError:
+        assume(False)
+    reach = 10.0 ** (150.0 + shift) * sigma0[1] / u
+    rng = np.random.default_rng(31)
+    t = np.concatenate((in_packet_times(cells[1], rng, 8),
+                        np.geomspace(1e-12, reach, 8), [-reach]))
+    # node-major, as a ladder's call: column j holds the points of width j
+    jx, jz = exit_current_grid(cells[0], np.repeat(t[:, None], 3, axis=1),
+                               sigma0=np.array(sigma0))
+    for j, cell in enumerate(cells):
+        want_jx, want_jz = exit_current_grid(cell, t)
+        assert bits(jx[:, j]).tolist() == bits(want_jx).tolist()
+        assert bits(jz[:, j]).tolist() == bits(want_jz).tolist()
+
+
 #: Moments so small that one turn of the spin takes 3e148 s or more, past
 #: the 4e141 s at which the kernel's arithmetic starts to overflow.
 SLOW_SPIN_MU = [1e-200, 2e-176]

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import io
 import math
 import warnings
@@ -369,6 +370,14 @@ def test_tail_warning_for_heavy_tail():
         dist = pi_of_phi(cfg, TOTAL)
     assert dist.truncated_tail_mass > 1e-6
     assert dist.norm_check == pytest.approx(1.0, abs=1e-8)
+
+
+def test_the_tail_warning_points_at_the_caller_of_pi_of_phi():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        pi_of_phi(PhysicsConfig(sigma0=2.2e-9), TOTAL)
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
 
 def test_grid_includes_adaptive_nodes(dist_i):
