@@ -17,10 +17,10 @@ import codecs
 import math
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
 
 from .distribution import (ArrivalScheme, _distributions, peak_phi,
                            scheme_weight, variance_phi,
@@ -99,16 +99,16 @@ class RunConfig:
             raise ValidationError(
                 f"output_dir must be a str or path-like, not "
                 f"{type(self.output_dir).__name__}")
-        if not self.sigma0_ladder:
-            raise ValidationError("sigma0_ladder must not be empty")
         # each cell's physics runs the validity guard on its sigma0
-        cells = tuple(replace(self.physics, sigma0=s0)
-                      for s0 in self.sigma0_ladder)
+        ladder = check_type("sigma0_ladder", self.sigma0_ladder, Iterable)
+        cells = tuple(replace(self.physics, sigma0=s0) for s0 in ladder)
+        if not cells:
+            raise ValidationError("sigma0_ladder must not be empty")
         # refuses what pi_of_phi refuses: a non-scheme, and the delta
         scheme_weight(cells[0], self.scheme)
         # -0.0 + 0.0 is 0.0, so -0 gets the column label of 0
-        thetas = tuple(as_number("thetas_deg", t) + 0.0
-                       for t in self.thetas_deg) \
+        thetas = tuple(as_number("thetas_deg", t) + 0.0 for t in
+                       check_type("thetas_deg", self.thetas_deg, Iterable)) \
             or default_thetas_deg(cells[0])
         for theta in thetas:
             if not 0.0 <= theta < 360.0:

@@ -143,27 +143,32 @@ class AngularDistribution:
         density needs: any negative or complex value it evaluates, or an
         output shaped unlike its input, raises ``ValidationError``, and a
         total that is 0 or not finite ``DegenerateDistributionError``.
-        ``fn`` must be
-        elementwise: a point's value may not depend on which other points
-        share the call, since the quadrature evaluates many panels' nodes
-        in one call.  The pass's first call, on the nodes of its hint
-        panels and their first bisection, is kept divided by the norm,
-        with its cos and sin moment rows and the layout of those nodes:
-        every later pass over the distribution (``measure``,
-        ``density_matrix``, ``mean_phi``, ``variance_phi``) is given
-        them, so that its first level calls ``fn`` no more.  Because
-        ``fn`` is elementwise these are the values it would return.
-        ``split_hints`` must *bracket* any
-        feature much narrower than the domain, not merely mark it: panels
-        whose nodes all miss a spike evaluate to zero and get accepted as
-        converged.  Use a ladder of points on both flanks (see
-        ``bracketing_hints``).  They are stored as a tuple of Python
-        floats.  ``quad`` is None, for the default
-        spec, or a ``QuadratureSpec``; anything else raises
+        ``fn`` must be elementwise: a point's value may not depend on
+        which other points share the call, since the quadrature evaluates
+        many panels' nodes in one call.  The pass's first call, on the
+        nodes of its hint panels and their first bisection, is kept
+        divided by the norm, with its cos and sin moment rows and the
+        layout of those nodes: every later pass over the distribution
+        (``measure``, ``density_matrix``, ``mean_phi``, ``variance_phi``)
+        is given them, so that its first level calls ``fn`` no more.
+        Because ``fn`` is elementwise these are the values it would
+        return.  ``split_hints`` must *bracket* any feature much narrower
+        than the domain, not merely mark it: panels whose nodes all miss a
+        spike evaluate to zero and get accepted as converged.  Use a
+        ladder of points on both flanks (see ``bracketing_hints``).  They
+        are stored as a tuple of Python floats.  ``quad`` is None, for the
+        default spec, or a ``QuadratureSpec``.  ``meta`` is None or a
+        mapping; each pair is one comment line of the curve file's header,
+        so no key or value, as ``str`` gives it, may hold a line break (any
+        that ``str.splitlines`` splits on).  Anything else raises
         ``ValidationError``.
         """
         quad = checked_spec(quad, "quad")
         hints = hint_tuple(split_hints)
+        meta = dict(check_type("meta", {} if meta is None else meta, Mapping))
+        for text in map(str, (*meta, *meta.values())):
+            if text.splitlines() != text.splitlines(True):
+                raise ValidationError(f"meta holds a line break: {text!r}")
 
         def nonnegative(phi):
             values = np.asarray(fn(phi))
@@ -177,8 +182,7 @@ class AngularDistribution:
 
         (total,), (layout,), (first,) = _integrate_batch(
             nonnegative, [(0.0, TWO_PI, hints)], quad, keep_nodes=True)
-        return _normalized(fn, total, layout, first, quad, hints,
-                           truncated_tail_mass=0.0, meta=dict(meta or {}))
+        return _normalized(fn, total, layout, first, quad, hints, meta=meta)
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -239,20 +243,20 @@ def _check_nonnegative(values: np.ndarray) -> None:
 
 
 def _normalized(fn, total: QuadratureResult, layout, first_values, quad,
-                hints, **fields) -> AngularDistribution:
+                hints, tail=0.0, **fields) -> AngularDistribution:
     """The distribution of a density ``fn`` from the result ``total`` of
     its normalization pass over [0, 2*pi] (``_integrate_batch``) at
     ``quad`` with ``hints``, the layout of the pass's first call and the
-    values fn gave at that layout's nodes there; ``fields`` are its
-    fields that the pass does not give.
+    values fn gave at that layout's nodes there, and its integral
+    ``tail`` beyond 2*pi; ``fields`` are its other fields.
 
     ``norm_constant`` is the pass's total, ``nodes`` its accepted
-    abscissas, and ``_first_level`` the read-only record of its first
-    call: ``layout`` and the rows [w, w*cos, w*sin] of
-    w = first_values/norm at its nodes.  ``density_fn`` is fn/norm.
-    ``first_values`` is node-major, in any shape with one value per
-    node.  A total that is 0 or not finite raises
-    ``DegenerateDistributionError``.
+    abscissas, ``_first_level`` the read-only record of its first call:
+    ``layout`` and the rows [w, w*cos, w*sin] of w = first_values/norm
+    at its nodes (node-major, in any shape with one value per node).
+    ``density_fn`` is fn/norm, and ``truncated_tail_mass``
+    tail/(norm + tail), 0.0 for no tail.  A total that is 0 or not
+    finite raises ``DegenerateDistributionError``.
     """
     norm = total.value
     if not math.isfinite(norm) or norm <= 0.0:
@@ -268,7 +272,7 @@ def _normalized(fn, total: QuadratureResult, layout, first_values, quad,
     return AngularDistribution(
         density_fn=density_fn, norm_constant=norm, nodes=total.nodes,
         quad=quad, split_hints=hints, _first_level=(layout, first_rows),
-        **fields)
+        truncated_tail_mass=tail / (norm + tail), **fields)
 
 
 def _nothing_to_normalize(total: float) -> str:
@@ -299,17 +303,18 @@ def bracketing_hints(center: float, width: float) -> tuple:
 def scheme_weight(cfg: PhysicsConfig, scheme: ArrivalScheme):
     """Unnormalized angular weight |J|(phi) as a vectorized callable.
 
+    It ignores a second argument, a batch's ``owner``.
     ``UnsupportedSchemeError`` for the semiclassical delta, which has no
     density, and ``ValidationError`` for anything not an ``ArrivalScheme``.
     """
     two_omega = 2.0 * cfg.omega
 
     if scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT:
-        def weight(phi):
+        def weight(phi, _owner=None):
             jx, jz = exit_current_grid(cfg, np.asarray(phi) / two_omega)
             return np.hypot(jx, jz)
     elif scheme is ArrivalScheme.MODULUS_SCHRODINGER_CURRENT:
-        def weight(phi):
+        def weight(phi, _owner=None):
             jx, _jz = exit_current_grid(cfg, np.asarray(phi) / two_omega)
             return np.abs(jx)
     elif scheme is ArrivalScheme.SEMICLASSICAL_DELTA:
@@ -343,16 +348,16 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
     first bisections bracket the spike.  Mass at angles beyond one full
     turn is discarded; a finite-horizon estimate of the discarded fraction
     is attached and a warning, pointing at the caller's line, is emitted
-    when it exceeds 1e-6.  That estimate integrates the weight over
-    [2*pi, 8*pi] only when the support reaches past 2*pi; otherwise the
-    weight is +0.0 there and the estimate is 0.0, as the pass would give.
-    The distribution's ``log_slope`` is phi -> d/dt ln of the scheme's
-    |J| at t = phi/(2*omega) (``exit_current_log_slope``, with the spin
-    part for the total current); jx > 0 for t >= 0, so |jx| = jx.  It is
-    the ladder of one of ``_distributions``, which builds a whole ladder
-    for ``run_table``, ``run_curve`` and ``run_compare``; its first-level
-    record and ``density_fn`` come from the normalization helper that
-    ``from_density`` uses too.
+    when it exceeds 1e-6.  Its pass over [2*pi, 8*pi] shares each level's
+    kernel call with the normalization pass, and runs only when the
+    support reaches past 2*pi; otherwise the weight is +0.0 there and the
+    estimate is 0.0, as the pass would give.  The distribution's
+    ``log_slope`` is phi -> d/dt ln of the scheme's |J| at
+    t = phi/(2*omega) (``exit_current_log_slope``, with the spin part for
+    the total current); jx > 0 for t >= 0, so |jx| = jx.  It is the
+    ladder of one of ``_distributions``, which builds a whole ladder for
+    ``run_table``, ``run_curve`` and ``run_compare``; its first-level
+    record and ``density_fn`` come from ``from_density``'s helper too.
     """
     check_type("cfg", cfg, PhysicsConfig)
     quad = checked_spec(quad, "quad")
@@ -362,14 +367,14 @@ def pi_of_phi(cfg: PhysicsConfig, scheme: ArrivalScheme,
 def _distributions(cells, quad: QuadratureSpec, stacklevel: int = 2):
     """The distribution of each (cfg, scheme) of the list ``cells`` (one
     or more), in order, as ``pi_of_phi`` builds it alone, from one batch of
-    normalization passes and one of tail passes (``_build_ladder``).
+    normalization and tail passes (``_build_ladder``).
 
     The configs may differ in sigma0 only, as a ladder's cells do; each
-    level of a batch is then one kernel call, which evaluates every
+    level of the batch is then one kernel call, which evaluates every
     cell's points at the cell's own sigma0 (``_ladder_weight``).  Every
     distribution has the bits that ``pi_of_phi`` gives its cell.
 
-    A generator.  Both batches run before the first cell is yielded; a
+    A generator.  The batch runs before the first cell is yielded; a
     cell's tail warning is emitted here, with ``stacklevel`` counted from
     here, when the walk reaches it.  When a batch of several cells raises
     a ``QClockError`` (a refusal or a pass's error), each cell is built
@@ -399,12 +404,17 @@ def _distributions(cells, quad: QuadratureSpec, stacklevel: int = 2):
 
 def _build_ladder(cells, quad: QuadratureSpec) -> list:
     """The ``AngularDistribution`` of each (cfg, scheme) of ``cells``, one
-    or more, with its tail mass and no warning (``_distributions``).
+    or more, with its tail mass and no warning (``_distributions``), from
+    one batch of every cell's norm pass, then the tail passes (``pi_of_phi``).
 
     The first error of any cell is raised, in this order: a cell's
     scheme (``scheme_weight``) or support refusal, cell by cell; the
-    norm batch's error; each cell's normalization (``_normalized``), in
-    turn; then the tail batch's error.
+    batch's error; then each cell's normalization (``_normalized``).  A
+    level walks its norm passes first, so a cell's norm pass error comes
+    before its tail pass error at one level, as when the tail ran after
+    it; a tail error comes first only from a shallower level, where the
+    norm total would be refused, or as the first non-finite node of a
+    level's call (``_estimates``).
     """
     weights, spans, fields = [], [], []
     for cfg, scheme in cells:
@@ -412,37 +422,27 @@ def _build_ladder(cells, quad: QuadratureSpec) -> list:
         two_omega = 2.0 * cfg.omega
         t_lo, t_hi = exit_current_support(cfg)
         if two_omega * t_lo >= TWO_PI:
-            # the whole first turn lies below the support: +0.0 integrates
-            # to 0.0
+            # the first turn lies below the support: +0.0 integrates to 0.0
             raise DegenerateDistributionError(_nothing_to_normalize(0.0))
         spike_width = two_omega * width(cfg, cfg.transit_time).sigma_t / cfg.u
         spans.append((0.0, TWO_PI, bracketing_hints(cfg.phi_peak,
                                                     spike_width)))
         fields.append(dict(
-            truncated_tail_mass=0.0, log_slope=_log_slope(cfg, scheme),
+            log_slope=_log_slope(cfg, scheme),
             support=(two_omega * t_lo, two_omega * t_hi), meta={
                 "scheme": scheme.value,
                 "sigma0_cm": repr(cfg.sigma0), "u_cm_per_s": repr(cfg.u),
                 "d_cm": repr(cfg.d), "B_gauss": repr(cfg.B),
                 "mu_erg_per_gauss": repr(cfg.mu),
                 "m0_g": repr(cfg.m0), "hbar_erg_s": repr(cfg.hbar)}))
+    tails = [i for i, cell in enumerate(fields) if cell["support"][1] > TWO_PI]
+    spans += [(TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, ())] * len(tails)
     results, layouts, firsts = _integrate_batch(
-        _ladder_weight(cells, weights), spans, quad, keep_nodes=True)
-    dists = [_normalized(weight, total, layout, first, quad, span[2], **cell)
-             for weight, span, cell, total, layout, first
-             in zip(weights, spans, fields, results, layouts, firsts)]
-    # the cells whose support reaches past 2*pi; beyond it the weight is
-    # +0.0, whose integral is 0.0
-    past = [i for i, dist in enumerate(dists) if dist.support[1] > TWO_PI]
-    if past:
-        tails, _layouts, _firsts = _integrate_batch(
-            _ladder_weight([cells[i] for i in past],
-                           [weights[i] for i in past]),
-            [(TWO_PI, TWO_PI * _TAIL_HORIZON_TURNS, ())] * len(past), quad)
-        for i, tail in zip(past, tails):
-            mass = tail.value / (dists[i].norm_constant + tail.value)
-            dists[i] = replace(dists[i], truncated_tail_mass=mass)
-    return dists
+        _ladder_weight(cells, weights, tails), spans, quad, keep_nodes=True)
+    tail = dict(zip(tails, results[len(cells):]))
+    return [_normalized(weights[i], results[i], layouts[i], firsts[i], quad,
+                        spans[i][2], tail[i].value if i in tail else 0.0,
+                        **fields[i]) for i in range(len(cells))]
 
 
 def _log_slope(cfg: PhysicsConfig, scheme: ArrivalScheme):
@@ -452,25 +452,26 @@ def _log_slope(cfg: PhysicsConfig, scheme: ArrivalScheme):
     return lambda phi: exit_current_log_slope(cfg, phi / two_omega, spin)
 
 
-def _ladder_weight(cells, weights):
+def _ladder_weight(cells, weights, tails):
     """The weights of ``cells``, (cfg, scheme) pairs whose configs differ
-    in sigma0 only, as one integrand of ``_integrate_batch``; ``weights``
-    are their ``scheme_weight``s.
-
-    For one cell it is its weight.  For several it is f(phi, owner): one
-    kernel call gives the points of each panel the current at the sigma0
-    of the cell that ``owner`` names, and hypot(jx, jz), or for the
-    Schrodinger current hypot(jx, +0.0), which is |jx| (C99 F.9.4.3).
-    Every operation is elementwise, so each value has the bits of the
-    cell's own weight.
+    in sigma0 only, as the integrand of ``_build_ladder``'s batch: each
+    cell's norm span, then a tail span for each cell ``tails`` indexes.
+    ``weights`` are their ``scheme_weight``s; one cell's weight, which
+    ignores ``owner``, is the integrand.  For several it is f(phi, owner):
+    one kernel call gives the points of each panel the current at the
+    sigma0 of the cell whose span ``owner`` names, and hypot(jx, jz), or
+    for the Schrodinger current hypot(jx, +0.0), which is |jx| (C99
+    F.9.4.3).  Every operation is elementwise, so each value has the bits
+    of the cell's own weight.
     """
     if len(cells) == 1:
         return weights[0]
     cfg = cells[0][0]
     two_omega = 2.0 * cfg.omega
-    widths = np.array([cell_cfg.sigma0 for cell_cfg, _scheme in cells])
+    owners = [*cells, *(cells[i] for i in tails)]  # the cell of each span
+    widths = np.array([cell_cfg.sigma0 for cell_cfg, _scheme in owners])
     total = np.array([scheme is ArrivalScheme.MODULUS_TOTAL_CURRENT
-                      for _cfg, scheme in cells])
+                      for _cfg, scheme in owners])
 
     def weight(phi, owner):
         # node-major: column p of every row is a point of panel p
@@ -660,10 +661,9 @@ def _integral(dist: AngularDistribution, f, first_values):
     """The integral of f over [0, 2*pi] at ``dist.quad``, on the kept
     first-level layout, where ``first_values`` are f's values (from the
     kept rows): f is called only at deeper levels."""
-    layout = dist._first_level[0]
     (result,), _layouts, _firsts = _integrate_batch(
         f, [(0.0, TWO_PI, dist.split_hints)], dist.quad,
-        first=(layout, first_values))
+        first=(dist._first_level[0], first_values))
     return result.value
 
 
@@ -687,9 +687,7 @@ def write_distribution_csv(dist: AngularDistribution, path) -> None:
     ``AngularDistribution`` raises ``ValidationError``.
     """
     check_type("dist", dist, AngularDistribution)
-    lines = []
-    for key, val in dist.meta.items():
-        lines.append(f"# {key} = {val}")
+    lines = [f"# {key} = {val}" for key, val in dist.meta.items()]
     lines.append(f"# norm_check = {dist.norm_check!r}")
     lines.append(f"# truncated_tail_mass = {dist.truncated_tail_mass!r}")
     lines.append("phi_rad,density_per_rad")

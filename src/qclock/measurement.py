@@ -14,9 +14,9 @@ cos^2/sin^2 convolution is kept in the tests as an independent oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,7 +109,9 @@ class DeviationRow:
 def deviation_report(cfg: PhysicsConfig, scheme: ArrivalScheme,
                      thetas: Sequence[float],
                      quad: QuadratureSpec | None = None) -> list[DeviationRow]:
-    """Tabulate quantum vs semiclassical probabilities per analyzer angle."""
+    """Tabulate quantum vs semiclassical probabilities per analyzer angle;
+    ``ValidationError`` for ``thetas`` that are not iterable."""
+    thetas = check_type("thetas", thetas, Iterable)
     return _deviation_rows(pi_of_phi(cfg, scheme, quad), cfg, thetas)
 
 

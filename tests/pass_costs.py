@@ -7,19 +7,21 @@ Each case is one call of the library, timed in one process:
   current schemes, on a distribution built beforehand: one m1 pass
   accepted at its kept first level;
 - ``_distributions`` over the paper's preset-I ladder (sigma0 1e-5 to
-  1e-8 cm, total current): one norm batch and one tail batch; over the
-  same ladder under both current schemes, one batch of 8 spans (the
-  cells of ``compare`` on that ladder); and over the first 12-row
-  seeded ladder of ``output_digests.py`` (seed 0), the largest ladder
-  that the benchmark's ladder sweep draws;
-- ``pi_of_phi`` of the first seeded off-preset cell of
-  ``library_transcript.py`` (seed 0), whose tail pass refines 6 levels;
+  1e-8 cm, total current): one batch of its 4 norm passes and the
+  1e-8 cell's tail pass; over the same ladder under both current
+  schemes, one batch of 10 spans (the cells of ``compare`` on that
+  ladder); and over the first 12-row seeded ladder of
+  ``output_digests.py`` (seed 0), the largest ladder that the
+  benchmark's ladder sweep draws;
+- ``pi_of_phi`` of a cell with a tail, one batch of its norm pass and
+  its tail pass over [2*pi, 8*pi]: the first seeded off-preset cell of
+  ``library_transcript.py`` (seed 0), whose tail pass refines 6
+  levels, and presets I and II at sigma0 = 1e-8 cm, whose tail passes
+  refine 2 and 3;
 - ``variance_phi`` on preset II at sigma0 = 1e-8 cm, a curve cell whose
   variance pass makes one level below the kept one;
 - cells that share their keys, as one batch and one by one: both
-  schemes of preset I at sigma0 = 1e-7 cm (the cells of ``compare``),
-  and the tail passes over [2*pi, 8*pi] of the paper's preset-I ladder
-  under both schemes (``compare`` on that ladder).
+  schemes of preset I at sigma0 = 1e-7 cm (the cells of ``compare``).
 
 A round times every case once, as the best of ``--repeat`` timeit runs
 of a loop sized to take about ``--target`` seconds; the printed figure
@@ -100,6 +102,10 @@ def cases(pkg) -> dict:
     fuzz = pkg.PhysicsConfig(**physics)
     out["pi_of_phi(fuzz seed 0 #0, tail)"] = (
         lambda s=pkg.ArrivalScheme(fuzz_scheme.value): pkg.pi_of_phi(fuzz, s))
+    for preset, d in (("I", 1.0), ("II", 2.0)):
+        out[f"pi_of_phi({preset}, s0=1e-8, tail)"] = (
+            lambda cfg=pkg.PhysicsConfig(d=d, sigma0=1e-8):
+            pkg.pi_of_phi(cfg, total))
     curve = pkg.pi_of_phi(pkg.PhysicsConfig(d=2.0, sigma0=1e-8), total)
     out["variance_phi(II, s0=1e-8)"] = lambda: pkg.variance_phi(curve)
     both = [(pkg.PhysicsConfig(sigma0=1e-7), scheme[name])
@@ -108,17 +114,6 @@ def cases(pkg) -> dict:
         pkg.distribution._distributions(both, pkg.QuadratureSpec()))
     out["compare cells, one by one"] = lambda: [
         pkg.pi_of_phi(*cell) for cell in both]
-    dist, quad = pkg.distribution, pkg.QuadratureSpec()
-    tails = [(cfg, scheme[name]) for name in SCHEME_NAMES
-             for cfg, _total in ladder if dist.TWO_PI < 2.0 * cfg.omega
-             * pkg.current.exit_current_support(cfg)[1]]
-    weights = [dist.scheme_weight(*cell) for cell in tails]
-    span = (dist.TWO_PI, dist.TWO_PI * dist._TAIL_HORIZON_TURNS, ())
-    out[f"ladder tails ({len(tails)}), one batch"] = (
-        lambda f=dist._ladder_weight(tails, weights): dist._integrate_batch(
-            f, [span] * len(tails), quad))
-    out[f"ladder tails ({len(tails)}), one by one"] = lambda: [
-        dist._integrate_batch(w, [span], quad) for w in weights]
     return out
 
 

@@ -185,6 +185,13 @@ def test_numpy_scalars_write_the_float_bytes(tmp_path):
     assert parse_config(serialize(cfgs["numpy"])) == cfgs["numpy"]
 
 
+def test_an_array_ladder_is_the_ladder_of_its_values():
+    # an array has no single truth value: the ladder is taken as a tuple
+    cfg = RunConfig(sigma0_ladder=np.array([1e-6, 1e-7]),
+                    thetas_deg=np.array([10.0]))
+    assert cfg == RunConfig(sigma0_ladder=(1e-6, 1e-7), thetas_deg=(10.0,))
+
+
 @pytest.mark.parametrize("field,value", [
     ("thetas_deg", (True,)), ("thetas_deg", ("10",)),
     ("thetas_deg", (10j,)), ("sigma0_ladder", (True,)),
@@ -916,14 +923,16 @@ def test_a_preset_table_makes_one_kernel_call_for_its_norm_passes(
     monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
     assert main(["table", "--preset", preset, "--out", str(tmp_path)]) \
         == EXIT_OK
-    # the four norm passes, then the sigma0 = 1e-8 cell's tail pass alone,
-    # resolved at depth 2 (d = 1) or 3 (d = 2); the m1 passes make none
-    assert calls == [4] + [None] * {"I": 2, "II": 3}[preset]
+    # one call holds the four norm passes and the sigma0 = 1e-8 cell's tail
+    # pass; the tail pass alone goes on, resolved at depth 2 (d = 1) or 3
+    # (d = 2); the m1 passes make none
+    assert calls == [4] + [1] * {"I": 1, "II": 2}[preset]
 
 
 def test_measuring_a_long_ladder_builds_no_layout(tmp_path, monkeypatch):
-    # the ladder's norm and tail batches build every first-level layout;
-    # each m1 pass is given its cell's kept layout and builds none
+    # the ladder's one batch of norm and tail passes builds every
+    # first-level layout; each m1 pass is given its cell's kept layout and
+    # builds none
     ladder = tuple(10.0 ** (-5.0 - 3.0 * k / 11) for k in range(12))
     cfg = RunConfig(sigma0_ladder=ladder, output_dir=tmp_path)
     events = []
@@ -941,7 +950,9 @@ def test_measuring_a_long_ladder_builds_no_layout(tmp_path, monkeypatch):
     monkeypatch.setattr(measurement, "_first_moment", counting_m1)
     run_table(cfg)
     first = events.index("m1")
-    # the 12 norm passes, then the tail passes of the cells that reach
-    # past one turn; then 3 angles of every cell
-    assert events[0] == 12 and len(events[1:first]) == 1
+    # the 12 norm passes and the tail passes of the cells that reach past
+    # one turn, in one build; then 3 angles of every cell
+    tails = sum(2.0 * cell.omega * distribution.exit_current_support(cell)[1]
+                > distribution.TWO_PI for cell in cfg.cells)
+    assert tails and events[:first] == [12 + tails]
     assert events[first:] == ["m1"] * 12 * 3

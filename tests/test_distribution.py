@@ -186,6 +186,30 @@ def test_csv_round_trip(tmp_path, dist_i):
     assert np.array_equal(data[:, 1], dist_i.density)
 
 
+#: Every boundary that ``str.splitlines`` splits a line on.
+LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029")
+
+
+def test_every_curve_header_line_is_a_comment(tmp_path):
+    # each meta pair is one comment line, however odd its text; a line
+    # break in a key or a value is refused when the distribution is built
+    meta = {"note": "tab\there", "\u00e9": "\u00fcn", 1.5: None, "": ""}
+    dist = AngularDistribution.from_density(lambda p: 1.0 + np.cos(p),
+                                            meta=meta)
+    path = tmp_path / "curve.csv"
+    write_distribution_csv(dist, path)
+    text = path.read_text(encoding="utf-8")
+    header = text[:text.index("phi_rad,density_per_rad\n")].splitlines()
+    assert len(header) == len(meta) + 2
+    assert all(line.startswith("# ") for line in header)
+    for brk in LINE_BREAKS:
+        for bad in ({f"a{brk}b": "x"}, {"note": f"a{brk}b"},
+                    {"note": f"ab{brk}"}, {f"{brk}": "x"}):
+            with pytest.raises(ValidationError, match="line break"):
+                AngularDistribution.from_density(np.ones_like, meta=bad)
+
+
 def row_by_row_csv(dist):
     """The curve file's text with every row formatted from the numpy
     arrays, as the writer did before it reused any field."""
@@ -866,10 +890,12 @@ def test_a_ladder_makes_one_kernel_call_per_level(monkeypatch):
     monkeypatch.setattr(distribution, "exit_current_grid", counting_kernel)
     cells = ladder_cells(1.0, DEFAULT_SIGMA0_LADDER, (TOTAL, SCH))
     dists = list(distribution._distributions(cells, QuadratureSpec()))
-    # one call holds every cell's first level; the two sigma0 = 1e-8 cells
-    # run their tail passes together, resolved at depth 2
+    # one call holds every cell's first level and the first level of the
+    # two sigma0 = 1e-8 cells' tail passes, each one panel and its two
+    # children; the tails are resolved at depth 2
     first = sum(dist._first_level[0][-1].size for dist in dists)
-    assert calls[0] == first and len(calls) == 1 + 2
+    assert calls[0] == first + 2 * 3 * QuadratureSpec().panel_order
+    assert len(calls) == 2
 
 
 def test_a_failing_ladder_gives_the_cells_before_it_then_its_error():
@@ -926,6 +952,28 @@ def test_a_failing_one_cell_build_runs_once(monkeypatch):
     with pytest.raises(ConvergenceError):
         list(distribution._distributions([cell], spec))
     assert calls == alone and len(alone) == 2
+
+
+def test_a_cell_whose_norm_and_tail_fail_together_raises_the_norm_error():
+    # at rel_tol 1e-13 the preset-I cell at sigma0 = 1e-8 needs depth 3 in
+    # its norm pass and in its tail pass; at max_depth 2 both fail at the
+    # same level of the cell's one batch, and the error raised is the one
+    # of the norm pass alone
+    cfg = PhysicsConfig(sigma0=1e-8)
+    spec = QuadratureSpec(rel_tol=1e-13, max_depth=2)
+    hints = pi_of_phi(cfg, TOTAL).split_hints
+    failures = []
+    for a, b, span_hints in ((0.0, TWO_PI, hints), (TWO_PI, 4 * TWO_PI, ())):
+        with pytest.raises(ConvergenceError, match="at depth 2 ") as alone:
+            integrate_full(scheme_weight(cfg, TOTAL), a, b, spec, span_hints)
+        failures.append(alone.value)
+    norm, tail = failures
+    assert str(norm) != str(tail)
+    with pytest.raises(ConvergenceError) as got:
+        pi_of_phi(cfg, TOTAL, spec)
+    assert str(got.value) == str(norm)
+    assert bits(got.value.best_estimate) == bits(norm.best_estimate)
+    assert bits(got.value.error_estimate) == bits(norm.error_estimate)
 
 
 def nan_at_1e7(cfg, t, sigma0=None):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qclock
+from qclock.cli import RunConfig
 from qclock.distribution import first_moment
 
 # Adding or removing an export is an API change: update this set with it.
@@ -50,11 +51,23 @@ SCHEME = qclock.ArrivalScheme.MODULUS_TOTAL_CURRENT
     (lambda: qclock.write_distribution_csv("x", "unused.csv"),
      "dist", "AngularDistribution"),
     (lambda: qclock.width({"d": 1}, 0.5), "cfg", "PhysicsConfig"),
+    (lambda: RunConfig(thetas_deg=5), "thetas_deg", "Iterable"),
+    (lambda: RunConfig(sigma0_ladder=5), "sigma0_ladder", "Iterable"),
+    (lambda: qclock.deviation_report(qclock.PhysicsConfig(), SCHEME, 5),
+     "thetas", "Iterable"),
+    (lambda: qclock.AngularDistribution.from_density(np.ones_like,
+                                                     meta="ab"),
+     "meta", "Mapping"),
+    (lambda: qclock.AngularDistribution.from_density(np.ones_like,
+                                                     meta=[("a", "b")]),
+     "meta", "Mapping"),
 ], ids=["pi_of_phi-cfg", "pi_of_phi-quad", "from_density-quad",
         "integrate-spec", "semiclassical-cfg", "measure-dist",
         "peak_phi-dist", "mean_phi-dist", "variance_phi-dist",
         "first_moment-dist", "density_matrix-dist",
-        "write_distribution_csv-dist", "width-cfg"])
+        "write_distribution_csv-dist", "width-cfg", "RunConfig-thetas_deg",
+        "RunConfig-sigma0_ladder", "deviation_report-thetas",
+        "from_density-meta-str", "from_density-meta-pairs"])
 def test_arguments_of_the_wrong_type_raise_validation_error(call, name,
                                                             kind):
     with pytest.raises(qclock.ValidationError,
